@@ -61,6 +61,24 @@ impl std::fmt::Display for MatrixPattern {
     }
 }
 
+impl std::str::FromStr for MatrixPattern {
+    type Err = String;
+
+    /// Parse a Table II pattern name, case-insensitively. `broadcast` is
+    /// an internal CRCW test pattern and is not accepted from users.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "contiguous" => Ok(MatrixPattern::Contiguous),
+            "stride" => Ok(MatrixPattern::Stride),
+            "diagonal" => Ok(MatrixPattern::Diagonal),
+            "random" => Ok(MatrixPattern::Random),
+            other => Err(format!(
+                "unknown pattern '{other}' (expected contiguous|stride|diagonal|random)"
+            )),
+        }
+    }
+}
+
 /// Generate the full access operation for `pattern` on a `w × w` matrix:
 /// one coordinate list per warp, `w` warps of `w` threads.
 ///

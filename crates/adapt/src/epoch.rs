@@ -409,15 +409,11 @@ pub fn candidate_from_record(record: &EpochRecord, width: usize) -> Result<Candi
         return Candidate::from_table(&record.to, layout.clone(), width)
             .map_err(|_| EpochError::UnknownTarget(record.to.clone()));
     }
-    let scheme = match record.to.as_str() {
-        "raw" => Scheme::Raw,
-        "ras" => Scheme::Ras,
-        "rap" => Scheme::Rap,
-        "xor" => Scheme::Xor,
-        "padded" => Scheme::Padded,
-        _ => return Err(EpochError::UnknownTarget(record.to.clone())),
-    };
-    Candidate::of_scheme(scheme, width).map_err(|_| EpochError::UnknownTarget(record.to.clone()))
+    record
+        .to
+        .parse::<Scheme>()
+        .and_then(|scheme| Candidate::of_scheme(scheme, width))
+        .map_err(|_| EpochError::UnknownTarget(record.to.clone()))
 }
 
 /// The outcome of replaying a record stream.

@@ -16,16 +16,9 @@
 //! registries do not cross process boundaries).
 
 use rap_bench::experiments::adapt_chaos::{self, AdaptChaosConfig};
-use rap_bench::{output, CliArgs};
+use rap_bench::{soak, CliArgs};
 
 fn main() {
-    if let Err(err) = run() {
-        eprintln!("adapt_chaos: {err}");
-        std::process::exit(1);
-    }
-}
-
-fn run() -> Result<(), String> {
     let args = CliArgs::from_env();
     let cfg = AdaptChaosConfig {
         seed: args.get_u64("seed", 2014),
@@ -33,7 +26,6 @@ fn run() -> Result<(), String> {
         requests: args.get_u64("requests", 192),
         server_bin: args.get("server-bin").map(std::path::PathBuf::from),
     };
-
     println!(
         "ADAPT_CHAOS — adaptive remapping soak at w={} over {} servers \
          (seed {}, {} requests per phase)\n",
@@ -46,39 +38,5 @@ fn run() -> Result<(), String> {
         cfg.seed,
         cfg.requests,
     );
-
-    // Injected epoch-site panics are expected and isolated by the
-    // server's workers — keep the report readable.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let report = adapt_chaos::run_caught(&cfg);
-    std::panic::set_hook(prev_hook);
-
-    for check in &report.checks {
-        println!(
-            "  {} {:44} {}",
-            if check.passed { "PASS" } else { "FAIL" },
-            check.name,
-            check.detail
-        );
-    }
-    println!(
-        "\n{}/{} checks passed ({} requests driven, {} swap(s) committed, \
-         {} fault(s) survived)",
-        report.checks.iter().filter(|c| c.passed).count(),
-        report.checks.len(),
-        report.requests_driven,
-        report.swaps_observed,
-        report.faults_survived,
-    );
-
-    let path = output::results_dir().join("adapt_chaos.json");
-    rap_resilience::write_json_atomic(&path, &report)
-        .map_err(|e| format!("writing results: {e}"))?;
-    println!("wrote {}", path.display());
-
-    if !report.passed {
-        return Err("adapt chaos soak FAILED".into());
-    }
-    Ok(())
+    soak::drive("adapt_chaos", "adapt_chaos.json", || adapt_chaos::run(&cfg));
 }

@@ -5,51 +5,15 @@
 //! Usage: `cargo run -p rap-bench --bin chaos --release [--seed 2014]`
 
 use rap_bench::experiments::chaos;
-use rap_bench::{output, CliArgs};
+use rap_bench::{soak, CliArgs};
 
 fn main() {
-    if let Err(err) = run() {
-        eprintln!("chaos: {err}");
-        std::process::exit(1);
-    }
-}
-
-fn run() -> Result<(), String> {
-    let args = CliArgs::from_env();
-    let seed = args.get_u64("seed", 2014);
-
+    let seed = CliArgs::from_env().get_u64("seed", 2014);
     println!("CHAOS — fault-injection self-test of the resilience stack (seed {seed})\n");
-
     let scratch = std::env::temp_dir().join(format!("rap-chaos-{}", std::process::id()));
-    // Injected panics are expected and caught; a default panic hook would
-    // spray backtraces over the report.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let report = chaos::run(&scratch, seed);
-    std::panic::set_hook(prev_hook);
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    for check in &report.checks {
-        println!(
-            "  {} {:42} {}",
-            if check.passed { "PASS" } else { "FAIL" },
-            check.name,
-            check.detail
-        );
-    }
-    println!(
-        "\n{}/{} checks passed",
-        report.checks.iter().filter(|c| c.passed).count(),
-        report.checks.len()
-    );
-
-    let path = output::results_dir().join("chaos.json");
-    rap_resilience::write_json_atomic(&path, &report)
-        .map_err(|e| format!("writing results: {e}"))?;
-    println!("wrote {}", path.display());
-
-    if !report.passed {
-        return Err("chaos suite FAILED".into());
-    }
-    Ok(())
+    soak::drive("chaos", "chaos.json", || {
+        let report = chaos::run(&scratch, seed);
+        let _ = std::fs::remove_dir_all(&scratch);
+        report
+    });
 }

@@ -14,16 +14,9 @@
 //! the same protocol path runs against in-process servers.
 
 use rap_bench::experiments::cluster_chaos::{self, ChaosConfig};
-use rap_bench::{output, CliArgs};
+use rap_bench::{output, soak, CliArgs};
 
 fn main() {
-    if let Err(err) = run() {
-        eprintln!("cluster_chaos: {err}");
-        std::process::exit(1);
-    }
-}
-
-fn run() -> Result<(), String> {
     let args = CliArgs::from_env();
     let cfg = ChaosConfig {
         seed: args.get_u64("seed", 2014),
@@ -33,7 +26,6 @@ fn run() -> Result<(), String> {
         base_trials: args.get_u64("trials", 200),
         worker_bin: args.get("worker-bin").map(std::path::PathBuf::from),
     };
-
     println!(
         "CLUSTER_CHAOS — {} requests over {} {} workers, one killed mid-sweep, \
          coordinator fault storms (seed {})\n",
@@ -46,46 +38,22 @@ fn run() -> Result<(), String> {
         },
         cfg.seed
     );
-
-    // Worker-side panics are isolated by the server; the coordinator's
-    // own failpoint storms are expected — keep the report readable.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let report = cluster_chaos::run_caught(&cfg);
-    std::panic::set_hook(prev_hook);
-
-    for check in &report.checks {
-        println!(
-            "  {} {:40} {}",
-            if check.passed { "PASS" } else { "FAIL" },
-            check.name,
-            check.detail
-        );
-    }
-    println!(
-        "\n{}/{} checks passed ({:.0} req/s through the router)",
-        report.checks.iter().filter(|c| c.passed).count(),
-        report.checks.len(),
-        report.query_throughput,
-    );
-
-    let path = output::results_dir().join("cluster_chaos.json");
-    rap_resilience::write_json_atomic(&path, &report)
-        .map_err(|e| format!("writing results: {e}"))?;
-    println!("wrote {}", path.display());
-
-    if !report.passed {
-        return Err("cluster chaos soak FAILED".into());
-    }
+    soak::drive("cluster_chaos", "cluster_chaos.json", || {
+        cluster_chaos::run(&cfg)
+    });
 
     // Distributed-vs-single record pair for the CI job's external `cmp`
     // — the byte-identity claim should not rest on this process's own
     // comparison alone.
-    let (distributed, single) = cluster_chaos::write_identity_pair(&cfg, &output::results_dir())?;
-    println!(
-        "wrote identity pair: {} vs {}",
-        distributed.display(),
-        single.display()
-    );
-    Ok(())
+    match cluster_chaos::write_identity_pair(&cfg, &output::results_dir()) {
+        Ok((distributed, single)) => println!(
+            "wrote identity pair: {} vs {}",
+            distributed.display(),
+            single.display()
+        ),
+        Err(err) => {
+            eprintln!("cluster_chaos: {err}");
+            std::process::exit(1);
+        }
+    }
 }

@@ -8,56 +8,18 @@
 //!     [--seed 2014] [--requests 1000] [--clients 8]`
 
 use rap_bench::experiments::serve_chaos;
-use rap_bench::{output, CliArgs};
+use rap_bench::{soak, CliArgs};
 
 fn main() {
-    if let Err(err) = run() {
-        eprintln!("serve_chaos: {err}");
-        std::process::exit(1);
-    }
-}
-
-fn run() -> Result<(), String> {
     let args = CliArgs::from_env();
     let seed = args.get_u64("seed", 2014);
     let requests = args.get_u64("requests", 1000);
     let clients = args.get_u64("clients", 8);
-
     println!(
         "SERVE_CHAOS — {requests}-request soak over {clients} clients with injected \
          handler faults (seed {seed})\n"
     );
-
-    // Injected panics are expected and caught by the worker isolation; a
-    // default panic hook would spray backtraces over the report.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let report = serve_chaos::run_caught(seed, requests, clients);
-    std::panic::set_hook(prev_hook);
-
-    for check in &report.checks {
-        println!(
-            "  {} {:32} {}",
-            if check.passed { "PASS" } else { "FAIL" },
-            check.name,
-            check.detail
-        );
-    }
-    println!(
-        "\n{}/{} checks passed ({} fault(s) injected, {} breaker trip(s))",
-        report.checks.iter().filter(|c| c.passed).count(),
-        report.checks.len(),
-        report.injected_faults,
-        report.breaker_trips
-    );
-
-    let path = output::results_dir().join("serve_chaos.json");
-    rap_resilience::write_json_atomic(&path, &report)
-        .map_err(|e| format!("writing results: {e}"))?;
-    println!("wrote {}", path.display());
-
-    if !report.passed {
-        return Err("serve chaos soak FAILED".into());
-    }
-    Ok(())
+    soak::drive("serve_chaos", "serve_chaos.json", || {
+        serve_chaos::run(seed, requests, clients)
+    });
 }

@@ -31,16 +31,13 @@
 //! registries are per-process, so faults installed here cannot reach a
 //! child.
 
-use super::serve_chaos::SoakCheck;
+use crate::soak::{connect, ensure, roundtrip, start_server, Check, Report, Suite};
 use rap_resilience::{install, FailPlan, Fault, HitSchedule};
-use rap_serve::{AdaptOptions, Client, Response, Server, ServerConfig, ServerHandle};
+use rap_serve::{AdaptOptions, Client, ServerConfig, ServerHandle};
 use serde::{Serialize, Value};
-use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::process::Child;
 
 /// Soak parameters (see the module docs).
 #[derive(Debug, Clone)]
@@ -84,35 +81,51 @@ pub struct AdaptChaosReport {
     /// Epoch faults + rollbacks the storm check survived.
     pub faults_survived: u64,
     /// One entry per check.
-    pub checks: Vec<SoakCheck>,
+    pub checks: Vec<Check>,
     /// True iff every check passed.
     pub passed: bool,
 }
 
+impl Report for AdaptChaosReport {
+    fn checks(&self) -> &[Check] {
+        &self.checks
+    }
+
+    fn summary(&self) -> String {
+        format!(
+            " ({} requests driven, {} swap(s) committed, {} fault(s) survived)",
+            self.requests_driven, self.swaps_observed, self.faults_survived
+        )
+    }
+}
+
 /// One adaptive server under test — in-process or a spawned child.
+/// Dropping it kills the server without draining: SIGKILL for a child
+/// process; an immediate, joined shutdown for an in-process server.
+/// Either way no epoch record is written after the drop.
 enum AdaptServer {
-    InProcess(ServerHandle),
+    InProcess(Option<ServerHandle>, SocketAddr),
     Process(Child, SocketAddr),
 }
 
 impl AdaptServer {
     fn addr(&self) -> SocketAddr {
         match self {
-            AdaptServer::InProcess(h) => h.addr(),
-            AdaptServer::Process(_, addr) => *addr,
+            AdaptServer::InProcess(_, addr) | AdaptServer::Process(_, addr) => *addr,
         }
     }
+}
 
-    /// Kill the server without draining: SIGKILL for a child process; an
-    /// immediate shutdown for an in-process server. Either way no epoch
-    /// record is written after this point.
-    fn kill(self) {
+impl Drop for AdaptServer {
+    fn drop(&mut self) {
         match self {
-            AdaptServer::InProcess(h) => {
-                h.begin_shutdown();
-                let _ = h.join();
+            AdaptServer::InProcess(handle, _) => {
+                if let Some(h) = handle.take() {
+                    h.begin_shutdown();
+                    let _ = h.join();
+                }
             }
-            AdaptServer::Process(mut child, _) => {
+            AdaptServer::Process(child, _) => {
                 let _ = child.kill();
                 let _ = child.wait();
             }
@@ -139,137 +152,56 @@ fn adapt_config(cfg: &AdaptChaosConfig, frozen: bool) -> rap_adapt::AdaptConfig 
 }
 
 /// Start one adaptive server per the config's backend choice.
-fn start_server(
+fn start_adaptive(
     cfg: &AdaptChaosConfig,
     ledger: Option<&std::path::Path>,
     frozen: bool,
 ) -> Result<AdaptServer, String> {
     match &cfg.server_bin {
         None => {
-            let handle = Server::bind(ServerConfig {
+            let handle = start_server(ServerConfig {
                 workers: 4,
                 adapt: Some(AdaptOptions {
                     config: adapt_config(cfg, frozen),
                     ledger: ledger.map(std::path::Path::to_path_buf),
                 }),
                 ..ServerConfig::default()
-            })
-            .and_then(Server::spawn)
-            .map_err(|e| format!("in-process adaptive server: {e}"))?;
-            Ok(AdaptServer::InProcess(handle))
+            })?;
+            let addr = handle.addr();
+            Ok(AdaptServer::InProcess(Some(handle), addr))
         }
         Some(bin) => {
+            let (width, seed) = (cfg.width.to_string(), cfg.seed.to_string());
             let mut args = vec![
-                "serve".to_string(),
-                "--addr".to_string(),
-                "127.0.0.1:0".to_string(),
-                "--workers".to_string(),
-                "4".to_string(),
-                "--adapt".to_string(),
-                "--adapt-width".to_string(),
-                cfg.width.to_string(),
-                "--adapt-initial".to_string(),
-                "raw".to_string(),
-                "--adapt-seed".to_string(),
-                cfg.seed.to_string(),
-                "--adapt-window".to_string(),
-                "64".to_string(),
-                "--adapt-eval-every".to_string(),
-                "8".to_string(),
-                "--adapt-min-samples".to_string(),
-                "8".to_string(),
-                "--adapt-migrate-steps".to_string(),
-                "4".to_string(),
+                "--workers",
+                "4",
+                "--adapt",
+                "--adapt-width",
+                &width,
+                "--adapt-initial",
+                "raw",
+                "--adapt-seed",
+                &seed,
+                "--adapt-window",
+                "64",
+                "--adapt-eval-every",
+                "8",
+                "--adapt-min-samples",
+                "8",
+                "--adapt-migrate-steps",
+                "4",
             ];
             if frozen {
-                args.push("--adapt-frozen".to_string());
+                args.push("--adapt-frozen");
             }
-            if let Some(path) = ledger {
-                args.push("--adapt-ledger".to_string());
-                args.push(path.display().to_string());
+            let ledger = ledger.map(|path| path.display().to_string());
+            if let Some(path) = &ledger {
+                args.extend(["--adapt-ledger", path]);
             }
-            let mut child = Command::new(bin)
-                .args(&args)
-                .stdout(Stdio::piped())
-                .stderr(Stdio::null())
-                .stdin(Stdio::null())
-                .spawn()
+            let (child, addr) = rap_cluster::spawn_serve(bin, args)
                 .map_err(|e| format!("spawning {}: {e}", bin.display()))?;
-            let stdout = child.stdout.take().ok_or("child stdout was not captured")?;
-            let mut reader = BufReader::new(stdout);
-            let addr = loop {
-                let mut line = String::new();
-                let n = reader
-                    .read_line(&mut line)
-                    .map_err(|e| format!("reading readiness: {e}"))?;
-                if n == 0 {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    return Err("server exited before its readiness line".to_string());
-                }
-                if let Some(rest) = line.trim().strip_prefix(rap_cluster::READY_PREFIX) {
-                    break rest
-                        .trim()
-                        .parse::<SocketAddr>()
-                        .map_err(|e| format!("bad readiness address '{rest}': {e}"))?;
-                }
-            };
-            std::thread::spawn(move || {
-                let _ = std::io::copy(&mut reader.into_inner(), &mut std::io::sink());
-            });
             Ok(AdaptServer::Process(child, addr))
         }
-    }
-}
-
-fn connect(addr: SocketAddr) -> Result<Client, String> {
-    Client::connect_with_timeout(addr, Duration::from_secs(10))
-        .map_err(|e| format!("connect {addr}: {e}"))
-}
-
-fn roundtrip(client: &mut Client, line: &str) -> Result<Response, String> {
-    client
-        .roundtrip(line)
-        .map_err(|e| format!("roundtrip `{line}`: {e}"))
-}
-
-/// A field of an object `Value`, by key.
-fn field<'a>(value: &'a Value, key: &str) -> Option<&'a Value> {
-    value
-        .as_object()?
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-}
-
-fn data_field<'a>(resp: &'a Response, key: &str) -> Result<&'a Value, String> {
-    resp.data
-        .as_ref()
-        .and_then(|d| field(d, key))
-        .ok_or_else(|| format!("no '{key}' in {resp:?}"))
-}
-
-fn as_str(v: &Value) -> Option<&str> {
-    match v {
-        Value::String(s) => Some(s),
-        _ => None,
-    }
-}
-
-fn as_u64(v: &Value) -> Option<u64> {
-    match v {
-        Value::U64(n) => Some(*n),
-        Value::I64(n) => u64::try_from(*n).ok(),
-        _ => None,
-    }
-}
-
-fn as_f64(v: &Value) -> Option<f64> {
-    match v {
-        Value::F64(x) => Some(*x),
-        Value::U64(n) => Some(*n as f64),
-        Value::I64(n) => Some(*n as f64),
-        _ => None,
     }
 }
 
@@ -289,42 +221,43 @@ struct Status {
 
 fn adapt_status(client: &mut Client) -> Result<Status, String> {
     let resp = roundtrip(client, r#"{"cmd":"adapt_status"}"#)?;
-    if !resp.ok {
-        return Err(format!("adapt_status rejected: {resp:?}"));
-    }
-    let stride = data_field(&resp, "classes")?
-        .as_array()
+    ensure!(resp.ok, "adapt_status rejected: {resp:?}");
+    let data = resp.data.as_ref().ok_or("adapt_status had no data")?;
+    let stride = data
+        .get("classes")
+        .and_then(Value::as_array)
         .ok_or("classes is not an array")?
         .iter()
-        .find(|c| field(c, "class").and_then(as_str) == Some("stride"))
+        .find(|c| c.get("class").and_then(Value::as_str) == Some("stride"))
         .ok_or("no stride class in status")?;
-    let stride = (
-        field(stride, "mean").and_then(as_f64).unwrap_or(f64::NAN),
-        field(stride, "bound").and_then(as_f64).unwrap_or(f64::NAN),
-    );
-    let get_u64 = |key: &str| -> Result<u64, String> {
-        data_field(&resp, key)
-            .ok()
-            .and_then(as_u64)
+    let stride_f64 = |key: &str| stride.get(key).and_then(Value::as_f64);
+    let get_u64 = |key: &str| {
+        data.get(key)
+            .and_then(Value::as_u64)
             .ok_or_else(|| format!("'{key}' is not a number in {resp:?}"))
     };
+    let get_str = |key: &str| {
+        data.get(key)
+            .and_then(Value::as_str)
+            .map(str::to_string)
+            .ok_or_else(|| format!("no {key} in status"))
+    };
     Ok(Status {
-        scheme: data_field(&resp, "scheme")
-            .ok()
-            .and_then(|v| as_str(v).map(str::to_string))
-            .ok_or("no scheme in status")?,
-        phase: data_field(&resp, "phase")
-            .ok()
-            .and_then(|v| as_str(v).map(str::to_string))
-            .ok_or("no phase in status")?,
+        scheme: get_str("scheme")?,
+        phase: get_str("phase")?,
         swaps: get_u64("swaps")?,
         rollbacks: get_u64("rollbacks")?,
         observe_faults: get_u64("observe_faults")?,
         swap_faults: get_u64("swap_faults")?,
         resumed_records: get_u64("resumed_records")?,
-        resumed_interrupted: data_field(&resp, "resumed_interrupted")
-            .is_ok_and(|v| matches!(v, Value::Bool(true))),
-        stride,
+        resumed_interrupted: data
+            .get("resumed_interrupted")
+            .and_then(Value::as_bool)
+            .unwrap_or(false),
+        stride: (
+            stride_f64("mean").unwrap_or(f64::NAN),
+            stride_f64("bound").unwrap_or(f64::NAN),
+        ),
     })
 }
 
@@ -332,22 +265,15 @@ fn adapt_status(client: &mut Client) -> Result<Status, String> {
 /// from the server's own stats endpoint.
 fn conservation_holds(client: &mut Client) -> Result<(), String> {
     let resp = roundtrip(client, r#"{"cmd":"stats"}"#)?;
-    match data_field(&resp, "conserves_responses")? {
-        Value::Bool(true) => Ok(()),
-        other => Err(format!("conservation broken: {other:?}")),
-    }
+    let data = resp.data.as_ref();
+    let conserves = data.and_then(|d| d.get("conserves_responses")?.as_bool());
+    ensure!(conserves == Some(true), "conservation broken: {data:?}");
+    Ok(())
 }
 
-/// One adaptive `pattern` request line.
-fn adaptive_line(id: u64, pattern: &str, width: usize, seed: u64) -> String {
-    format!(
-        r#"{{"cmd":"pattern","id":{id},"pattern":"{pattern}","scheme":"adaptive","width":{width},"trials":2,"seed":{seed}}}"#
-    )
-}
-
-/// The same request against a static scheme (the byte-identity
-/// reference).
-fn static_line(id: u64, pattern: &str, scheme: &str, width: usize, seed: u64) -> String {
+/// One `pattern` request line; `scheme` is `adaptive` or the static
+/// scheme a byte-identity comparison references.
+fn pattern_line(id: u64, pattern: &str, scheme: &str, width: usize, seed: u64) -> String {
     format!(
         r#"{{"cmd":"pattern","id":{id},"pattern":"{pattern}","scheme":"{scheme}","width":{width},"trials":2,"seed":{seed}}}"#
     )
@@ -363,10 +289,11 @@ fn drive(
     seed: u64,
 ) -> Result<u64, String> {
     for i in 0..n {
-        let resp = roundtrip(client, &adaptive_line(i, pattern, width, seed ^ i))?;
-        if !resp.ok {
-            return Err(format!("adaptive {pattern} request {i} failed: {resp:?}"));
-        }
+        let resp = roundtrip(
+            client,
+            &pattern_line(i, pattern, "adaptive", width, seed ^ i),
+        )?;
+        ensure!(resp.ok, "adaptive {pattern} request {i} failed: {resp:?}");
     }
     Ok(n)
 }
@@ -375,7 +302,7 @@ fn drive(
 /// certified swap; the measured stride congestion ends below the old
 /// scheme's certified bound; conservation holds throughout.
 fn swap_under_traffic_shift(cfg: &AdaptChaosConfig) -> Result<(String, u64, u64), String> {
-    let server = start_server(cfg, None, false)?;
+    let server = start_adaptive(cfg, None, false)?;
     let mut client = connect(server.addr())?;
     let mut driven = 0u64;
 
@@ -389,33 +316,30 @@ fn swap_under_traffic_shift(cfg: &AdaptChaosConfig) -> Result<(String, u64, u64)
         cfg.seed,
     )?;
     let calm = adapt_status(&mut client)?;
-    if calm.swaps != 0 || calm.scheme != "raw" {
-        server.kill();
-        return Err(format!(
-            "calm contiguous traffic must not trigger a swap (swaps {}, scheme {})",
-            calm.swaps, calm.scheme
-        ));
-    }
+    ensure!(
+        calm.swaps == 0 && calm.scheme == "raw",
+        "calm contiguous traffic must not trigger a swap (swaps {}, scheme {})",
+        calm.swaps,
+        calm.scheme
+    );
     // The old scheme's certified stride bound, straight from the active
     // candidate before anything shifts (raw: bound == width).
     let old_bound = calm.stride.1;
-    if !(old_bound.is_finite() && old_bound >= cfg.width as f64) {
-        server.kill();
-        return Err(format!(
-            "raw's certified stride bound looks wrong: {old_bound}"
-        ));
-    }
+    ensure!(
+        old_bound.is_finite() && old_bound >= cfg.width as f64,
+        "raw's certified stride bound looks wrong: {old_bound}"
+    );
 
     // Phase 2: the storm shifts to stride — pathological for raw.
     driven += drive(&mut client, "stride", cfg.requests, cfg.width, cfg.seed)?;
     let shifted = adapt_status(&mut client)?;
-    if shifted.swaps == 0 || shifted.scheme == "raw" {
-        server.kill();
-        return Err(format!(
-            "the stride storm never triggered a swap (phase {}, scheme {}, mean {:.2})",
-            shifted.phase, shifted.scheme, shifted.stride.0
-        ));
-    }
+    ensure!(
+        shifted.swaps != 0 && shifted.scheme != "raw",
+        "the stride storm never triggered a swap (phase {}, scheme {}, mean {:.2})",
+        shifted.phase,
+        shifted.scheme,
+        shifted.stride.0
+    );
 
     // Phase 3: keep driving stride until the monitor window holds only
     // post-swap samples, then compare measured congestion to the OLD
@@ -423,14 +347,13 @@ fn swap_under_traffic_shift(cfg: &AdaptChaosConfig) -> Result<(String, u64, u64)
     driven += drive(&mut client, "stride", 80, cfg.width, cfg.seed)?;
     let healed = adapt_status(&mut client)?;
     let measured = healed.stride.0;
-    if !(measured.is_finite() && measured < old_bound) {
-        server.kill();
-        return Err(format!(
-            "measured stride congestion {measured:.2} did not drop below the old certified \
-             bound {old_bound} (scheme {}, phase {})",
-            healed.scheme, healed.phase
-        ));
-    }
+    ensure!(
+        measured.is_finite() && measured < old_bound,
+        "measured stride congestion {measured:.2} did not drop below the old certified \
+         bound {old_bound} (scheme {}, phase {})",
+        healed.scheme,
+        healed.phase
+    );
     conservation_holds(&mut client)?;
     let detail = format!(
         "swap raw -> {} committed under a stride storm; measured congestion {measured:.2} \
@@ -438,7 +361,7 @@ fn swap_under_traffic_shift(cfg: &AdaptChaosConfig) -> Result<(String, u64, u64)
         healed.scheme
     );
     let swaps = healed.swaps;
-    server.kill();
+    drop(server);
     Ok((detail, driven, swaps))
 }
 
@@ -501,7 +424,7 @@ fn epoch_fault_storm(cfg: &AdaptChaosConfig) -> Result<(String, u64, u64), Strin
             ),
     );
     let result = (|| -> Result<(String, u64, u64), String> {
-        let server = start_server(&in_process, None, false)?;
+        let server = start_adaptive(&in_process, None, false)?;
         let mut client = connect(server.addr())?;
         let mut driven = 0u64;
         let mut status = adapt_status(&mut client)?;
@@ -527,15 +450,16 @@ fn epoch_fault_storm(cfg: &AdaptChaosConfig) -> Result<(String, u64, u64), Strin
                 break;
             }
         }
-        if !matches!(status.phase.as_str(), "stable" | "proposed" | "migrating") {
-            server.kill();
-            return Err(format!("invalid controller phase '{}'", status.phase));
-        }
+        ensure!(
+            matches!(status.phase.as_str(), "stable" | "proposed" | "migrating"),
+            "invalid controller phase '{}'",
+            status.phase
+        );
         let faults = status.observe_faults + status.swap_faults + status.rollbacks;
-        if faults == 0 {
-            server.kill();
-            return Err("the fault storm never bit; the check proved nothing".to_string());
-        }
+        ensure!(
+            faults != 0,
+            "the fault storm never bit; the check proved nothing"
+        );
         conservation_holds(&mut client)?;
         let detail = format!(
             "{driven} requests answered through {} observe fault(s), {} swap fault(s), \
@@ -547,7 +471,7 @@ fn epoch_fault_storm(cfg: &AdaptChaosConfig) -> Result<(String, u64, u64), Strin
             status.phase
         );
         let swaps = status.swaps;
-        server.kill();
+        drop(server);
         Ok((detail, driven, faults.max(swaps)))
     })();
     drop(guard);
@@ -567,17 +491,20 @@ fn assert_adaptive_matches_static(
 ) -> Result<(), String> {
     for (i, pattern) in PROBE_PATTERNS.iter().enumerate() {
         let id = 9_000 + i as u64;
-        let adaptive = roundtrip(client, &adaptive_line(id, pattern, width, seed ^ i as u64))?;
+        let adaptive = roundtrip(
+            client,
+            &pattern_line(id, pattern, "adaptive", width, seed ^ i as u64),
+        )?;
         let reference = roundtrip(
             client,
-            &static_line(id, pattern, scheme, width, seed ^ i as u64),
+            &pattern_line(id, pattern, scheme, width, seed ^ i as u64),
         )?;
         let (a, r) = (adaptive.to_line(), reference.to_line());
-        if a != r {
-            return Err(format!(
-                "adaptive '{pattern}' diverged from static '{scheme}':\n  adaptive:  {a}\n  reference: {r}"
-            ));
-        }
+        ensure!(
+            a == r,
+            "adaptive '{pattern}' diverged from static '{scheme}':\n  adaptive:  {a}\n  \
+             reference: {r}"
+        );
     }
     Ok(())
 }
@@ -599,31 +526,28 @@ fn kill_mid_migration_resume(cfg: &AdaptChaosConfig) -> Result<(String, u64, u64
 
     // Server A: forced swap with a migration long enough that nothing
     // can commit it before the kill.
-    let server = start_server(cfg, Some(&ledger), true)?;
+    let server = start_adaptive(cfg, Some(&ledger), true)?;
     let mut client = connect(server.addr())?;
     let forced = roundtrip(
         &mut client,
         r#"{"cmd":"adapt_force","target":"padded","steps":1000000}"#,
     )?;
-    if !forced.ok {
-        server.kill();
-        return Err(format!("force failed: {forced:?}"));
-    }
+    ensure!(forced.ok, "force failed: {forced:?}");
     driven += drive(&mut client, "stride", 3, cfg.width, cfg.seed)?;
     drop(client);
-    server.kill(); // mid-migration: Proposed+Migrating are on disk, no commit
+    drop(server); // mid-migration: Proposed+Migrating are on disk, no commit
 
     // Server B: resume must roll back to raw, bit-identically.
-    let server = start_server(cfg, Some(&ledger), true)?;
+    let server = start_adaptive(cfg, Some(&ledger), true)?;
     let mut client = connect(server.addr())?;
     let resumed = adapt_status(&mut client)?;
-    if !(resumed.resumed_interrupted && resumed.scheme == "raw" && resumed.phase == "stable") {
-        server.kill();
-        return Err(format!(
-            "expected a rolled-back resume to raw/stable, got {}/{} (interrupted {})",
-            resumed.scheme, resumed.phase, resumed.resumed_interrupted
-        ));
-    }
+    ensure!(
+        resumed.resumed_interrupted && resumed.scheme == "raw" && resumed.phase == "stable",
+        "expected a rolled-back resume to raw/stable, got {}/{} (interrupted {})",
+        resumed.scheme,
+        resumed.phase,
+        resumed.resumed_interrupted
+    );
     assert_adaptive_matches_static(&mut client, "raw", cfg.width, cfg.seed)?;
     driven += 2 * PROBE_PATTERNS.len() as u64;
     let rollback_records = resumed.resumed_records;
@@ -633,35 +557,31 @@ fn kill_mid_migration_resume(cfg: &AdaptChaosConfig) -> Result<(String, u64, u64
         &mut client,
         r#"{"cmd":"adapt_force","target":"padded","steps":0}"#,
     )?;
-    if !forced.ok {
-        server.kill();
-        return Err(format!("post-resume force failed: {forced:?}"));
-    }
+    ensure!(forced.ok, "post-resume force failed: {forced:?}");
     drop(client);
-    server.kill();
+    drop(server);
 
     // Server C: the committed epoch must survive the kill.
-    let server = start_server(cfg, Some(&ledger), true)?;
+    let server = start_adaptive(cfg, Some(&ledger), true)?;
     let mut client = connect(server.addr())?;
     let committed = adapt_status(&mut client)?;
-    if !(committed.scheme == "padded"
-        && committed.phase == "stable"
-        && !committed.resumed_interrupted)
-    {
-        server.kill();
-        return Err(format!(
-            "expected the committed padded epoch to survive, got {}/{} (interrupted {})",
-            committed.scheme, committed.phase, committed.resumed_interrupted
-        ));
-    }
-    if committed.resumed_records == 0 {
-        server.kill();
-        return Err("the final resume replayed no records; the ledger went missing".to_string());
-    }
+    ensure!(
+        committed.scheme == "padded"
+            && committed.phase == "stable"
+            && !committed.resumed_interrupted,
+        "expected the committed padded epoch to survive, got {}/{} (interrupted {})",
+        committed.scheme,
+        committed.phase,
+        committed.resumed_interrupted
+    );
+    ensure!(
+        committed.resumed_records != 0,
+        "the final resume replayed no records; the ledger went missing"
+    );
     assert_adaptive_matches_static(&mut client, "padded", cfg.width, cfg.seed)?;
     driven += 2 * PROBE_PATTERNS.len() as u64;
     conservation_holds(&mut client)?;
-    server.kill();
+    drop(server);
     let _ = std::fs::remove_dir_all(&dir);
     Ok((
         format!(
@@ -683,45 +603,29 @@ pub fn run(cfg: &AdaptChaosConfig) -> AdaptChaosReport {
         requests: cfg.requests.clamp(96, 1_000_000),
         ..cfg.clone()
     };
-    let mut checks = Vec::new();
+    let mut suite = Suite::default();
     let mut requests_driven = 0u64;
     let mut swaps_observed = 0u64;
     let mut faults_survived = 0u64;
 
-    let mut named = |name: &str, result: Result<(String, u64, u64), String>| match result {
-        Ok((detail, driven, counted)) => {
-            requests_driven += driven;
-            match name {
-                "epoch-fault-storm-tolerated" => faults_survived += counted,
-                _ => swaps_observed += counted,
-            }
-            SoakCheck {
-                name: name.to_string(),
-                passed: true,
-                detail,
-            }
-        }
-        Err(detail) => SoakCheck {
-            name: name.to_string(),
-            passed: false,
-            detail,
-        },
+    // Each check returns (detail, requests driven, swaps or faults seen).
+    let mut tally = |counted: &mut u64, result: Result<(String, u64, u64), String>| {
+        let (detail, driven, n) = result?;
+        requests_driven += driven;
+        *counted += n;
+        Ok(detail)
     };
+    suite.check("swap-under-traffic-shift", || {
+        tally(&mut swaps_observed, swap_under_traffic_shift(&cfg))
+    });
+    suite.check("epoch-fault-storm-tolerated", || {
+        tally(&mut faults_survived, epoch_fault_storm(&cfg))
+    });
+    suite.check("kill-mid-migration-resume-byte-identical", || {
+        tally(&mut swaps_observed, kill_mid_migration_resume(&cfg))
+    });
 
-    checks.push(named(
-        "swap-under-traffic-shift",
-        swap_under_traffic_shift(&cfg),
-    ));
-    checks.push(named(
-        "epoch-fault-storm-tolerated",
-        epoch_fault_storm(&cfg),
-    ));
-    checks.push(named(
-        "kill-mid-migration-resume-byte-identical",
-        kill_mid_migration_resume(&cfg),
-    ));
-
-    let passed = checks.iter().all(|c| c.passed);
+    let (checks, passed) = suite.finish();
     AdaptChaosReport {
         seed: cfg.seed,
         width: cfg.width as u64,
@@ -734,26 +638,6 @@ pub fn run(cfg: &AdaptChaosConfig) -> AdaptChaosReport {
     }
 }
 
-/// [`run`] wrapped in `catch_unwind` per the suite convention: a broken
-/// invariant must report a failed check, not kill the harness.
-#[must_use]
-pub fn run_caught(cfg: &AdaptChaosConfig) -> AdaptChaosReport {
-    catch_unwind(AssertUnwindSafe(|| run(cfg))).unwrap_or_else(|_| AdaptChaosReport {
-        seed: cfg.seed,
-        width: cfg.width as u64,
-        process_servers: cfg.server_bin.is_some(),
-        requests_driven: 0,
-        swaps_observed: 0,
-        faults_survived: 0,
-        checks: vec![SoakCheck {
-            name: "suite-panicked".to_string(),
-            passed: false,
-            detail: "the adapt chaos harness itself panicked".to_string(),
-        }],
-        passed: false,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -762,7 +646,7 @@ mod tests {
     #[test]
     fn mini_adapt_soak_passes() {
         let _chaos = crate::experiments::chaos_test_guard();
-        let report = run_caught(&AdaptChaosConfig {
+        let report = run(&AdaptChaosConfig {
             seed: 11,
             width: 16,
             requests: 96,

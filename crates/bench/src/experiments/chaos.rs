@@ -8,11 +8,12 @@
 //! harness reaches the same verdicts under injected panics.
 //!
 //! Checks run sequentially (the failpoint registry is process-global)
-//! and each is wrapped in `catch_unwind`, so a broken invariant reports
-//! a failed check instead of killing the suite.
+//! through [`crate::soak::Suite`], so a broken invariant reports a failed
+//! check instead of killing the suite.
 
 use crate::experiments::table2::{self, Table2Config};
 use crate::output;
+use crate::soak::{ensure, Check, Report, Suite};
 use rap_access::montecarlo::matrix_congestion;
 use rap_access::resilient::{matrix_congestion_resilient, ResilientConfig};
 use rap_access::MatrixPattern;
@@ -24,19 +25,7 @@ use rap_resilience::{
 };
 use rap_stats::SeedDomain;
 use serde::Serialize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-
-/// Outcome of one chaos check.
-#[derive(Debug, Serialize)]
-pub struct ChaosCheck {
-    /// Stable check name.
-    pub name: String,
-    /// Whether the invariant held under the injected fault.
-    pub passed: bool,
-    /// What was verified (pass) or what broke (fail).
-    pub detail: String,
-}
 
 /// The full suite result, written to `results/chaos.json`.
 #[derive(Debug, Serialize)]
@@ -44,76 +33,44 @@ pub struct ChaosReport {
     /// Root seed of the fault schedules and Monte-Carlo runs.
     pub seed: u64,
     /// One entry per check.
-    pub checks: Vec<ChaosCheck>,
+    pub checks: Vec<Check>,
     /// True iff every check passed.
     pub passed: bool,
 }
 
-type Check = Box<dyn FnOnce() -> Result<String, String>>;
+impl Report for ChaosReport {
+    fn checks(&self) -> &[Check] {
+        &self.checks
+    }
+}
 
 /// Run every chaos check, using `scratch` for this suite's files.
 ///
 /// The caller owns `scratch`; the suite recreates it empty.
 pub fn run(scratch: &Path, seed: u64) -> ChaosReport {
     let _ = std::fs::remove_dir_all(scratch);
-    let checks: Vec<(&str, Check)> = vec![
-        ("durable-writes-survive-faults", {
-            let dir = scratch.join("durable");
-            Box::new(move || durable_survives_faults(&dir, seed))
-        }),
-        (
-            "panic-retry-is-bit-identical",
-            Box::new(move || panic_retry_bit_identity(seed)),
-        ),
-        (
-            "budget-cut-is-marked-degraded",
-            Box::new(move || budget_degrades_explicitly(seed)),
-        ),
-        ("kill-resume-json-is-byte-identical", {
-            let dir = scratch.join("t2");
-            Box::new(move || kill_resume_byte_identity(&dir, seed))
-        }),
-        (
-            "conformance-verdicts-survive-panics",
-            Box::new(move || conformance_equal_under_chaos(seed)),
-        ),
-    ];
-
-    let mut report = ChaosReport {
+    let mut suite = Suite::default();
+    suite.check("durable-writes-survive-faults", || {
+        durable_survives_faults(&scratch.join("durable"), seed)
+    });
+    suite.check("panic-retry-is-bit-identical", || {
+        panic_retry_bit_identity(seed)
+    });
+    suite.check("budget-cut-is-marked-degraded", || {
+        budget_degrades_explicitly(seed)
+    });
+    suite.check("kill-resume-json-is-byte-identical", || {
+        kill_resume_byte_identity(&scratch.join("t2"), seed)
+    });
+    suite.check("conformance-verdicts-survive-panics", || {
+        conformance_equal_under_chaos(seed)
+    });
+    let (checks, passed) = suite.finish();
+    ChaosReport {
         seed,
-        checks: Vec::new(),
-        passed: true,
-    };
-    for (name, check) in checks {
-        let outcome = catch_unwind(AssertUnwindSafe(check)).unwrap_or_else(|payload| {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(ToString::to_string)
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic".into());
-            Err(format!("check panicked: {msg}"))
-        });
-        let (passed, detail) = match outcome {
-            Ok(detail) => (true, detail),
-            Err(detail) => (false, detail),
-        };
-        report.passed &= passed;
-        report.checks.push(ChaosCheck {
-            name: name.to_string(),
-            passed,
-            detail,
-        });
+        checks,
+        passed,
     }
-    report
-}
-
-/// Shorthand: fail the check with a formatted reason.
-macro_rules! ensure {
-    ($cond:expr, $($arg:tt)*) => {
-        if !$cond {
-            return Err(format!($($arg)*));
-        }
-    };
 }
 
 /// ENOSPC at every durable stage — and a torn write — must leave the

@@ -23,12 +23,11 @@
 //! on real sockets (CI does this); otherwise the same code paths run
 //! against in-process servers.
 
-use super::serve_chaos::SoakCheck;
 use super::table2::{self, Table2Config};
+use crate::soak::{ensure, Check, Report, Suite};
 use rap_cluster::{Cluster, ClusterConfig, ClusterReport, WorkerPool};
 use rap_resilience::{install, FailPlan, Fault, HitSchedule, Ledger, SyncPolicy};
 use serde::Serialize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -97,9 +96,19 @@ pub struct ChaosReport {
     /// Coordinator report of the kill-mid-sweep check.
     pub sweep: Option<ClusterReport>,
     /// One entry per check.
-    pub checks: Vec<SoakCheck>,
+    pub checks: Vec<Check>,
     /// True iff every check passed.
     pub passed: bool,
+}
+
+impl Report for ChaosReport {
+    fn checks(&self) -> &[Check] {
+        &self.checks
+    }
+
+    fn summary(&self) -> String {
+        format!(" ({:.0} req/s through the router)", self.query_throughput)
+    }
 }
 
 /// The small Table II sweep the soak re-runs under faults.
@@ -125,32 +134,26 @@ fn spawn_pool(cfg: &ChaosConfig, n: usize) -> Result<WorkerPool, String> {
     }
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("rap-cluster-chaos-{tag}-{}", std::process::id()))
-}
-
 fn assert_bits(
     merged: &[rap_stats::OnlineStats],
     truth: &[table2::Table2Cell],
 ) -> Result<(), String> {
-    if merged.len() != truth.len() {
-        return Err(format!(
-            "cell count diverged: {} vs {}",
-            merged.len(),
-            truth.len()
-        ));
-    }
+    ensure!(
+        merged.len() == truth.len(),
+        "cell count diverged: {} vs {}",
+        merged.len(),
+        truth.len()
+    );
     for (m, t) in merged.iter().zip(truth) {
-        if m.to_raw() != t.stats.to_raw() {
-            return Err(format!(
-                "{} {} w={} diverged: {:?} vs {:?}",
-                t.pattern,
-                t.scheme,
-                t.w,
-                m.to_raw(),
-                t.stats.to_raw()
-            ));
-        }
+        ensure!(
+            m.to_raw() == t.stats.to_raw(),
+            "{} {} w={} diverged: {:?} vs {:?}",
+            t.pattern,
+            t.scheme,
+            t.w,
+            m.to_raw(),
+            t.stats.to_raw()
+        );
     }
     Ok(())
 }
@@ -180,18 +183,18 @@ fn kill_mid_sweep_check(cfg: &ChaosConfig) -> Result<(String, ClusterReport), St
     let (merged, report) = cluster.run_sweep(&table2::sweep_cells(&t2), &ledger);
     let killed = killer.join().map_err(|_| "killer thread panicked")?;
     cluster.pool().shutdown();
-    if !killed {
-        return Err("the kill hook reported it could not kill the victim".to_string());
-    }
+    ensure!(
+        killed,
+        "the kill hook reported it could not kill the victim"
+    );
     assert_bits(&merged, &truth)?;
     let resolved = report.from_checkpoint + report.executed + report.local_blocks;
-    if resolved != report.blocks_total {
-        return Err(format!(
-            "{} of {} blocks unaccounted for: {report:?}",
-            report.blocks_total - resolved,
-            report.blocks_total
-        ));
-    }
+    ensure!(
+        resolved == report.blocks_total,
+        "{} of {} blocks unaccounted for: {report:?}",
+        report.blocks_total - resolved,
+        report.blocks_total
+    );
     Ok((
         format!(
             "bit-identical through a mid-sweep kill ({} blocks: {} on workers, {} local, \
@@ -277,12 +280,14 @@ fn query_soak_check(
         total.bad_requests += tally.bad_requests;
     }
     let throughput = total.sent as f64 / start.elapsed().as_secs_f64().max(1e-9);
-    if total.ok + total.degraded + total.bad_requests != total.sent {
-        return Err(format!("soak lost requests: {total:?}"));
-    }
-    if total.bad_requests == 0 {
-        return Err("the malformed lines were never rejected; the soak proved nothing".to_string());
-    }
+    ensure!(
+        total.ok + total.degraded + total.bad_requests == total.sent,
+        "soak lost requests: {total:?}"
+    );
+    ensure!(
+        total.bad_requests != 0,
+        "the malformed lines were never rejected; the soak proved nothing"
+    );
     Ok((total, throughput))
 }
 
@@ -292,7 +297,7 @@ fn query_soak_check(
 fn coordinator_kill_resume_check(cfg: &ChaosConfig) -> Result<String, String> {
     let t2 = sweep_cfg(cfg);
     let fp = t2.fingerprint();
-    let dir = scratch_dir("resume");
+    let dir = std::env::temp_dir().join(format!("rap-cluster-chaos-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let path = dir.join("sweep.ledger");
     let cells = table2::sweep_cells(&t2);
@@ -324,9 +329,10 @@ fn coordinator_kill_resume_check(cfg: &ChaosConfig) -> Result<String, String> {
         drop(guard);
         report.append_failures
     };
-    if append_failures == 0 {
-        return Err("the partial-write failpoint never fired".to_string());
-    }
+    ensure!(
+        append_failures != 0,
+        "the partial-write failpoint never fired"
+    );
 
     // Restarted coordinator: resumes from the torn ledger and finishes.
     let pool = spawn_pool(cfg, 2)?;
@@ -334,14 +340,16 @@ fn coordinator_kill_resume_check(cfg: &ChaosConfig) -> Result<String, String> {
     let ledger =
         Ledger::open(&path, fp, SyncPolicy::EveryEntry).map_err(|e| format!("reopen: {e}"))?;
     let resumed = ledger.resumed_entries();
-    if resumed == 0 {
-        return Err("the restarted coordinator found an empty checkpoint".to_string());
-    }
+    ensure!(
+        resumed != 0,
+        "the restarted coordinator found an empty checkpoint"
+    );
     let (merged, report) = cluster.run_sweep(&cells, &ledger);
     cluster.pool().shutdown();
-    if report.from_checkpoint == 0 {
-        return Err(format!("the resume reused nothing: {report:?}"));
-    }
+    ensure!(
+        report.from_checkpoint != 0,
+        "the resume reused nothing: {report:?}"
+    );
 
     // Byte-level comparison of the serialized records (`cmp` semantics).
     let local = serde_json::to_string(&table2::to_record(&t2, &table2::run(&t2)))
@@ -352,9 +360,10 @@ fn coordinator_kill_resume_check(cfg: &ChaosConfig) -> Result<String, String> {
     ))
     .map_err(|e| e.to_string())?;
     let _ = std::fs::remove_dir_all(&dir);
-    if local != distributed {
-        return Err("resumed record differs from the single-process record".to_string());
-    }
+    ensure!(
+        local == distributed,
+        "resumed record differs from the single-process record"
+    );
     Ok(format!(
         "record byte-identical after kill+resume ({resumed} checkpointed block(s) recovered, \
          {} reused, {append_failures} torn append(s) survived)",
@@ -379,9 +388,10 @@ fn quorum_degrade_check(cfg: &ChaosConfig) -> Result<String, String> {
     let (merged, report) = cluster.run_sweep(&table2::sweep_cells(&t2), &ledger);
     cluster.pool().shutdown();
     assert_bits(&merged, &truth)?;
-    if !report.degraded || report.source != "cluster-local" {
-        return Err(format!("expected an explicit local degrade: {report:?}"));
-    }
+    ensure!(
+        report.degraded && report.source == "cluster-local",
+        "expected an explicit local degrade: {report:?}"
+    );
     Ok(format!(
         "all {} blocks served in-process below quorum, bit-identical, marked degraded",
         report.local_blocks
@@ -406,9 +416,10 @@ pub fn write_identity_pair(
     let ledger = Ledger::in_memory();
     let (merged, report) = cluster.run_sweep(&table2::sweep_cells(&t2), &ledger);
     cluster.pool().shutdown();
-    if report.degraded {
-        return Err("identity-pair sweep unexpectedly degraded to local execution".into());
-    }
+    ensure!(
+        !report.degraded,
+        "identity-pair sweep unexpectedly degraded to local execution"
+    );
     let distributed = dir.join("t2_distributed.json");
     let single = dir.join("t2_single.json");
     rap_resilience::write_json_atomic(
@@ -429,94 +440,49 @@ pub fn run(cfg: &ChaosConfig) -> ChaosReport {
         clients: cfg.clients.clamp(1, 64),
         ..cfg.clone()
     };
-    let mut checks = Vec::new();
+    let mut suite = Suite::default();
     let mut query_tally = QueryTally::default();
     let mut query_throughput = 0.0;
     let mut sweep = None;
 
-    let named = |name: &str, result: Result<String, String>| match result {
-        Ok(detail) => SoakCheck {
-            name: name.to_string(),
-            passed: true,
-            detail,
-        },
-        Err(detail) => SoakCheck {
-            name: name.to_string(),
-            passed: false,
-            detail,
-        },
-    };
-
-    match kill_mid_sweep_check(&cfg) {
-        Ok((detail, report)) => {
-            sweep = Some(report);
-            checks.push(SoakCheck {
-                name: "sweep-survives-worker-kill".to_string(),
-                passed: true,
-                detail,
-            });
-        }
-        Err(e) => checks.push(SoakCheck {
-            name: "sweep-survives-worker-kill".to_string(),
-            passed: false,
-            detail: e,
-        }),
-    }
-
+    suite.check("sweep-survives-worker-kill", || {
+        let (detail, report) = kill_mid_sweep_check(&cfg)?;
+        sweep = Some(report);
+        Ok(detail)
+    });
     // Router soak over a fresh pool; one worker is killed mid-storm so
     // failover (and, for the key it owned, re-routing) happens live.
-    match spawn_pool(&cfg, cfg.workers) {
-        Err(e) => checks.push(SoakCheck {
-            name: "query-soak-zero-lost".to_string(),
-            passed: false,
-            detail: e,
-        }),
-        Ok(pool) => {
-            let cluster = Arc::new(Cluster::new(pool, ClusterConfig::default()));
-            let killer = {
-                let cluster = Arc::clone(&cluster);
-                std::thread::spawn(move || {
-                    std::thread::sleep(Duration::from_millis(40));
-                    cluster.pool().kill(0);
-                })
-            };
-            let result = query_soak_check(&cluster, cfg.requests, cfg.clients);
-            let _ = killer.join();
-            cluster.pool().shutdown();
-            checks.push(match result {
-                Ok((tally, throughput)) => {
-                    let detail = format!(
-                        "{} sent = {} ok + {} degraded + {} structured rejections \
-                         ({throughput:.0} req/s, one shard killed mid-storm)",
-                        tally.sent, tally.ok, tally.degraded, tally.bad_requests
-                    );
-                    query_tally = tally;
-                    query_throughput = throughput;
-                    SoakCheck {
-                        name: "query-soak-zero-lost".to_string(),
-                        passed: true,
-                        detail,
-                    }
-                }
-                Err(e) => SoakCheck {
-                    name: "query-soak-zero-lost".to_string(),
-                    passed: false,
-                    detail: e,
-                },
-            });
-        }
-    }
+    suite.check("query-soak-zero-lost", || {
+        let cluster = Arc::new(Cluster::new(
+            spawn_pool(&cfg, cfg.workers)?,
+            ClusterConfig::default(),
+        ));
+        let killer = {
+            let cluster = Arc::clone(&cluster);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(40));
+                cluster.pool().kill(0);
+            })
+        };
+        let result = query_soak_check(&cluster, cfg.requests, cfg.clients);
+        let _ = killer.join();
+        cluster.pool().shutdown();
+        let (tally, throughput) = result?;
+        let detail = format!(
+            "{} sent = {} ok + {} degraded + {} structured rejections \
+             ({throughput:.0} req/s, one shard killed mid-storm)",
+            tally.sent, tally.ok, tally.degraded, tally.bad_requests
+        );
+        query_tally = tally;
+        query_throughput = throughput;
+        Ok(detail)
+    });
+    suite.check("coordinator-kill-resume-byte-identical", || {
+        coordinator_kill_resume_check(&cfg)
+    });
+    suite.check("below-quorum-local-degrade", || quorum_degrade_check(&cfg));
 
-    checks.push(named(
-        "coordinator-kill-resume-byte-identical",
-        coordinator_kill_resume_check(&cfg),
-    ));
-    checks.push(named(
-        "below-quorum-local-degrade",
-        quorum_degrade_check(&cfg),
-    ));
-
-    let passed = checks.iter().all(|c| c.passed);
+    let (checks, passed) = suite.finish();
     ChaosReport {
         seed: cfg.seed,
         workers: cfg.workers as u64,
@@ -530,27 +496,6 @@ pub fn run(cfg: &ChaosConfig) -> ChaosReport {
     }
 }
 
-/// [`run`] wrapped in `catch_unwind` per the suite convention: a broken
-/// invariant must report a failed check, not kill the harness.
-#[must_use]
-pub fn run_caught(cfg: &ChaosConfig) -> ChaosReport {
-    catch_unwind(AssertUnwindSafe(|| run(cfg))).unwrap_or_else(|_| ChaosReport {
-        seed: cfg.seed,
-        workers: cfg.workers as u64,
-        process_workers: cfg.worker_bin.is_some(),
-        requests: cfg.requests,
-        query_tally: QueryTally::default(),
-        query_throughput: 0.0,
-        sweep: None,
-        checks: vec![SoakCheck {
-            name: "suite-panicked".to_string(),
-            passed: false,
-            detail: "the chaos harness itself panicked".to_string(),
-        }],
-        passed: false,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -559,7 +504,7 @@ mod tests {
     #[test]
     fn mini_cluster_soak_passes() {
         let _chaos = crate::experiments::chaos_test_guard();
-        let report = run_caught(&ChaosConfig {
+        let report = run(&ChaosConfig {
             seed: 7,
             workers: 2,
             requests: 256,

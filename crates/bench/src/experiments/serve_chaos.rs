@@ -22,24 +22,13 @@
 //! serve`); CI's `serve-soak` job additionally drives the real binary
 //! over real sockets with a real `kill -9`.
 
+use crate::soak::{connect, ensure, roundtrip, start_server, Check, Report, Suite};
 use rap_resilience::{install, FailPlan, Fault, HitSchedule};
-use rap_serve::{Client, Response, Server, ServerConfig, ServerHandle};
-use serde::Serialize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use rap_serve::{Response, ServerConfig, ServerHandle};
+use serde::{Serialize, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Outcome of one soak check.
-#[derive(Debug, Serialize)]
-pub struct SoakCheck {
-    /// Stable check name.
-    pub name: String,
-    /// Whether the guarantee held.
-    pub passed: bool,
-    /// What was verified (pass) or what broke (fail).
-    pub detail: String,
-}
 
 /// Aggregate client-side tallies of the main soak.
 #[derive(Debug, Default, Clone, Serialize)]
@@ -113,16 +102,22 @@ pub struct SoakReport {
     /// Times the breaker tripped across all checks.
     pub breaker_trips: u64,
     /// One entry per check.
-    pub checks: Vec<SoakCheck>,
+    pub checks: Vec<Check>,
     /// True iff every check passed.
     pub passed: bool,
 }
 
-fn spawn_server(config: ServerConfig) -> Result<ServerHandle, String> {
-    Server::bind(config)
-        .map_err(|e| format!("bind: {e}"))?
-        .spawn()
-        .map_err(|e| format!("spawn: {e}"))
+impl Report for SoakReport {
+    fn checks(&self) -> &[Check] {
+        &self.checks
+    }
+
+    fn summary(&self) -> String {
+        format!(
+            " ({} fault(s) injected, {} breaker trip(s))",
+            self.injected_faults, self.breaker_trips
+        )
+    }
 }
 
 fn shutdown(handle: ServerHandle) -> rap_serve::DrainReport {
@@ -180,14 +175,12 @@ fn soak_check(
             let counter = Arc::clone(&counter);
             std::thread::spawn(move || -> Result<SoakTally, String> {
                 let mut tally = SoakTally::default();
-                let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
+                let mut client = connect(addr)?;
                 for _ in 0..per_client {
                     let i = counter.fetch_add(1, Ordering::Relaxed);
                     let line = request_line(i);
                     tally.sent += 1;
-                    let response = client
-                        .roundtrip(&line)
-                        .map_err(|e| format!("request {i} got no response: {e}"))?;
+                    let response = roundtrip(&mut client, &line)?;
                     tally.absorb(&response);
                 }
                 Ok(tally)
@@ -203,23 +196,20 @@ fn soak_check(
     }
     let injected = rap_resilience::failpoint::drain_log().len() as u64;
     drop(guard);
-    if total.received != total.sent {
-        return Err(format!(
-            "lost requests: sent {} received {}",
-            total.sent, total.received
-        ));
-    }
-    if injected == 0 {
-        return Err("failpoint never fired; the soak proved nothing".to_string());
-    }
+    ensure!(
+        total.received == total.sent,
+        "lost requests: sent {} received {}",
+        total.sent,
+        total.received
+    );
+    ensure!(
+        injected != 0,
+        "failpoint never fired; the soak proved nothing"
+    );
     // The server must still be alive and green after the storm.
-    let mut probe = Client::connect(addr).map_err(|e| format!("post-soak connect: {e}"))?;
-    let health = probe
-        .roundtrip(r#"{"cmd":"health"}"#)
-        .map_err(|e| format!("post-soak health: {e}"))?;
-    if !health.ok {
-        return Err(format!("post-soak health not ok: {health:?}"));
-    }
+    let mut probe = connect(addr)?;
+    let health = roundtrip(&mut probe, r#"{"cmd":"health"}"#)?;
+    ensure!(health.ok, "post-soak health not ok: {health:?}");
     Ok((total, injected))
 }
 
@@ -227,7 +217,7 @@ fn soak_check(
 /// for `kill -9`; CI does it to a real process).
 fn client_kill_check(addr: std::net::SocketAddr) -> Result<String, String> {
     {
-        let mut doomed = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
+        let mut doomed = connect(addr)?;
         for i in 0..16 {
             doomed
                 .send(&format!(
@@ -242,20 +232,18 @@ fn client_kill_check(addr: std::net::SocketAddr) -> Result<String, String> {
     } // <- connection closed here, responses still queued server-side
       // Conservation is a quiescence invariant: poll stats until the dead
       // client's in-flight jobs have all been answered into the void.
-    let mut probe = Client::connect(addr).map_err(|e| format!("post-kill connect: {e}"))?;
+    let mut probe = connect(addr)?;
     let deadline = std::time::Instant::now() + Duration::from_secs(20);
     loop {
-        let stats = probe
-            .roundtrip(r#"{"cmd":"stats"}"#)
-            .map_err(|e| format!("post-kill stats: {e}"))?;
-        let line = serde_json::to_string(&stats.data.ok_or("stats had no data")?)
-            .map_err(|e| e.to_string())?;
-        if line.contains("\"conserves_responses\":true") {
+        let stats = roundtrip(&mut probe, r#"{"cmd":"stats"}"#)?;
+        let data = stats.data.ok_or("stats had no data")?;
+        if data.get("conserves_responses").and_then(Value::as_bool) == Some(true) {
             return Ok("dead client cost write errors only; response ledger balances".to_string());
         }
-        if std::time::Instant::now() >= deadline {
-            return Err(format!("conservation broken after client kill: {line}"));
-        }
+        ensure!(
+            std::time::Instant::now() < deadline,
+            "conservation broken after client kill: {data:?}"
+        );
         std::thread::sleep(Duration::from_millis(50));
     }
 }
@@ -263,7 +251,7 @@ fn client_kill_check(addr: std::net::SocketAddr) -> Result<String, String> {
 /// Check 3: sustained faults trip the breaker; `pattern` degrades to
 /// analyzer bounds; recovery closes it again.
 fn breaker_check(seed: u64) -> Result<(String, u64), String> {
-    let handle = spawn_server(ServerConfig {
+    let handle = start_server(ServerConfig {
         workers: 1,
         retry: rap_resilience::RetryPolicy {
             max_retries: 0,
@@ -276,56 +264,52 @@ fn breaker_check(seed: u64) -> Result<(String, u64), String> {
         },
         ..ServerConfig::default()
     })?;
-    let mut client = Client::connect(handle.addr()).map_err(|e| format!("connect: {e}"))?;
+    let mut client = connect(handle.addr())?;
     let guard =
         install(FailPlan::new(seed).rule("serve.handler", Fault::Panic, HitSchedule::Always));
     for i in 0..3 {
-        let r = client
-            .roundtrip(&format!(r#"{{"cmd":"analyze","id":{i},"width":8}}"#))
-            .map_err(|e| format!("burst {i}: {e}"))?;
-        if r.ok {
-            return Err(format!("request {i} succeeded under Always-panic: {r:?}"));
-        }
+        let r = roundtrip(
+            &mut client,
+            &format!(r#"{{"cmd":"analyze","id":{i},"width":8}}"#),
+        )?;
+        ensure!(!r.ok, "request {i} succeeded under Always-panic: {r:?}");
     }
-    if handle.breaker_state() != "open" {
-        return Err(format!(
-            "breaker should be open after the burst, is {}",
-            handle.breaker_state()
-        ));
-    }
+    ensure!(
+        handle.breaker_state() == "open",
+        "breaker should be open after the burst, is {}",
+        handle.breaker_state()
+    );
     // Open breaker: pattern must degrade to certified bounds, marked so.
-    let degraded = client
-        .roundtrip(r#"{"cmd":"pattern","id":50,"pattern":"stride","scheme":"rap","width":16}"#)
-        .map_err(|e| format!("degraded query: {e}"))?;
-    if !(degraded.ok && degraded.degraded && degraded.breaker == "open") {
-        return Err(format!("expected degraded analyzer answer: {degraded:?}"));
-    }
-    let payload =
-        serde_json::to_string(&degraded.data.ok_or("no data")?).map_err(|e| e.to_string())?;
-    if !payload.contains("static-analyzer") || !payload.contains("\"hi\":1") {
-        return Err(format!(
-            "degraded payload is not the certified bound: {payload}"
-        ));
-    }
+    let degraded = roundtrip(
+        &mut client,
+        r#"{"cmd":"pattern","id":50,"pattern":"stride","scheme":"rap","width":16}"#,
+    )?;
+    ensure!(
+        degraded.ok && degraded.degraded && degraded.breaker == "open",
+        "expected degraded analyzer answer: {degraded:?}"
+    );
+    let payload = degraded.data.ok_or("no data")?;
+    let source = payload.get("source").and_then(Value::as_str);
+    let bound = ["lo", "hi"].map(|k| payload.get(k).and_then(Value::as_u64));
+    ensure!(
+        source == Some("static-analyzer") && bound == [Some(1), Some(1)],
+        "degraded payload is not the certified [1, 1] stride bound: {payload:?}"
+    );
     drop(guard); // fault clears
     std::thread::sleep(Duration::from_millis(150)); // past cooldown
-    let recovered = client
-        .roundtrip(r#"{"cmd":"analyze","id":60,"width":8}"#)
-        .map_err(|e| format!("recovery query: {e}"))?;
-    if !recovered.ok {
-        return Err(format!("half-open probe failed: {recovered:?}"));
-    }
-    if handle.breaker_state() != "closed" {
-        return Err(format!(
-            "breaker should have closed, is {}",
-            handle.breaker_state()
-        ));
-    }
+    let recovered = roundtrip(&mut client, r#"{"cmd":"analyze","id":60,"width":8}"#)?;
+    ensure!(recovered.ok, "half-open probe failed: {recovered:?}");
+    ensure!(
+        handle.breaker_state() == "closed",
+        "breaker should have closed, is {}",
+        handle.breaker_state()
+    );
     let trips = handle.breaker_trips();
     let report = shutdown(handle);
-    if !report.metrics.conserves_responses() {
-        return Err("conservation broken across breaker lifecycle".to_string());
-    }
+    ensure!(
+        report.metrics.conserves_responses(),
+        "conservation broken across breaker lifecycle"
+    );
     Ok((
         format!(
             "tripped open, served certified [1,1] stride bound degraded, \
@@ -337,8 +321,8 @@ fn breaker_check(seed: u64) -> Result<(String, u64), String> {
 
 /// Check 6: ENOSPC and delay faults — retried or surfaced, never lost.
 fn io_fault_check(seed: u64) -> Result<String, String> {
-    let handle = spawn_server(ServerConfig::default())?;
-    let mut client = Client::connect(handle.addr()).map_err(|e| format!("connect: {e}"))?;
+    let handle = start_server(ServerConfig::default())?;
+    let mut client = connect(handle.addr())?;
     let guard = install(
         FailPlan::new(seed)
             .rule(
@@ -354,23 +338,24 @@ fn io_fault_check(seed: u64) -> Result<String, String> {
     );
     let mut answered = 0u64;
     for i in 0..40 {
-        let r = client
-            .roundtrip(&format!(
-                r#"{{"cmd":"congestion","id":{i},"width":8,"addresses":[0,8,1]}}"#
-            ))
-            .map_err(|e| format!("io-fault request {i}: {e}"))?;
+        let r = roundtrip(
+            &mut client,
+            &format!(r#"{{"cmd":"congestion","id":{i},"width":8,"addresses":[0,8,1]}}"#),
+        )?;
         // Success (possibly after retries) or a structured failure; both
         // are answered.
-        if !(r.ok || r.error_kind() == Some("handler_failed")) {
-            return Err(format!("unexpected response under I/O faults: {r:?}"));
-        }
+        ensure!(
+            r.ok || r.error_kind() == Some("handler_failed"),
+            "unexpected response under I/O faults: {r:?}"
+        );
         answered += 1;
     }
     drop(guard);
     let report = shutdown(handle);
-    if !report.metrics.conserves_responses() {
-        return Err("conservation broken under I/O faults".to_string());
-    }
+    ensure!(
+        report.metrics.conserves_responses(),
+        "conservation broken under I/O faults"
+    );
     Ok(format!(
         "{answered}/40 answered under ENOSPC(1/4)+delay(1/3); retries {}",
         report.metrics.handler_retries
@@ -380,13 +365,13 @@ fn io_fault_check(seed: u64) -> Result<String, String> {
 /// Check 5: graceful drain under load — stop admitting, answer the
 /// backlog (executed or explicitly aborted), exit clean.
 fn drain_check() -> Result<String, String> {
-    let handle = spawn_server(ServerConfig {
+    let handle = start_server(ServerConfig {
         workers: 1,
         queue_capacity: 64,
         drain_budget_ms: 200,
         ..ServerConfig::default()
     })?;
-    let mut client = Client::connect(handle.addr()).map_err(|e| format!("connect: {e}"))?;
+    let mut client = connect(handle.addr())?;
     const PIPELINED: u64 = 12;
     for i in 0..PIPELINED {
         client
@@ -399,9 +384,10 @@ fn drain_check() -> Result<String, String> {
         .send(r#"{"cmd":"shutdown","id":999}"#)
         .map_err(|e| format!("send shutdown: {e}"))?;
     let report = handle.join();
-    if !report.metrics.conserves_responses() {
-        return Err(format!("drain lost requests: {report:?}"));
-    }
+    ensure!(
+        report.metrics.conserves_responses(),
+        "drain lost requests: {report:?}"
+    );
     // Client side: exactly one response per request, shutdown included.
     let mut got = 0u64;
     for _ in 0..=PIPELINED {
@@ -411,9 +397,11 @@ fn drain_check() -> Result<String, String> {
             Err(e) => return Err(format!("after {got} responses: {e}")),
         }
     }
-    if got != PIPELINED + 1 {
-        return Err(format!("expected {} responses, got {got}", PIPELINED + 1));
-    }
+    ensure!(
+        got == PIPELINED + 1,
+        "expected {} responses, got {got}",
+        PIPELINED + 1
+    );
     Ok(format!(
         "drain answered all {} requests ({} aborted with structured errors), clean={}",
         PIPELINED + 1,
@@ -425,12 +413,12 @@ fn drain_check() -> Result<String, String> {
 /// Check 7: admission control — a burst into a tiny queue sheds with
 /// structured 429s and zero losses.
 fn shed_check() -> Result<String, String> {
-    let handle = spawn_server(ServerConfig {
+    let handle = start_server(ServerConfig {
         workers: 1,
         queue_capacity: 2,
         ..ServerConfig::default()
     })?;
-    let mut client = Client::connect(handle.addr()).map_err(|e| format!("connect: {e}"))?;
+    let mut client = connect(handle.addr())?;
     const BURST: u64 = 30;
     for i in 0..BURST {
         client
@@ -453,12 +441,14 @@ fn shed_check() -> Result<String, String> {
         }
     }
     let report = shutdown(handle);
-    if !report.metrics.conserves_responses() {
-        return Err("conservation broken under shedding".to_string());
-    }
-    if sheds == 0 {
-        return Err("a 2-slot queue never shed under a 30-deep burst".to_string());
-    }
+    ensure!(
+        report.metrics.conserves_responses(),
+        "conservation broken under shedding"
+    );
+    ensure!(
+        sheds != 0,
+        "a 2-slot queue never shed under a 30-deep burst"
+    );
     Ok(format!(
         "{answered} executed + {sheds} structured sheds = {BURST}, zero lost"
     ))
@@ -469,116 +459,70 @@ fn shed_check() -> Result<String, String> {
 pub fn run(seed: u64, requests: u64, clients: u64) -> SoakReport {
     let clients = clients.clamp(1, 64);
     let requests = requests.max(clients);
-    let mut checks = Vec::new();
+    let mut suite = Suite::default();
     let mut tally = SoakTally::default();
     let mut injected = 0u64;
     let mut trips = 0u64;
 
     // Main soak server: shared by checks 1, 2, and the kill check so the
     // kill's write errors land in a ledger that is still being audited.
-    match spawn_server(ServerConfig {
+    match start_server(ServerConfig {
         workers: 4,
         queue_capacity: 256,
         ..ServerConfig::default()
     }) {
-        Err(e) => checks.push(SoakCheck {
-            name: "soak-server-start".to_string(),
-            passed: false,
-            detail: e,
-        }),
+        Err(e) => suite.check("soak-server-start", || Err(e)),
         Ok(handle) => {
             let addr = handle.addr();
-            match soak_check(addr, requests, clients, seed) {
-                Ok((t, n)) => {
-                    injected = n;
-                    let detail = format!(
-                        "{} sent = {} answered ({} ok, {} degraded, {} shed, {} timeout, \
-                         {} failure, {} bad-request) with {} injected panic(s); health green",
-                        t.sent,
-                        t.received,
-                        t.ok,
-                        t.degraded,
-                        t.shed,
-                        t.timeouts,
-                        t.failures,
-                        t.bad_requests,
-                        n,
-                    );
-                    tally = t;
-                    checks.push(SoakCheck {
-                        name: "soak-zero-lost-requests".to_string(),
-                        passed: true,
-                        detail,
-                    });
-                }
-                Err(e) => checks.push(SoakCheck {
-                    name: "soak-zero-lost-requests".to_string(),
-                    passed: false,
-                    detail: e,
-                }),
-            }
-            let kill = client_kill_check(addr);
-            let drain = shutdown(handle);
-            checks.push(match kill {
-                Ok(detail) => SoakCheck {
-                    name: "client-kill-mid-stream".to_string(),
-                    passed: true,
-                    detail,
-                },
-                Err(e) => SoakCheck {
-                    name: "client-kill-mid-stream".to_string(),
-                    passed: false,
-                    detail: e,
-                },
+            suite.check("soak-zero-lost-requests", || {
+                let (t, n) = soak_check(addr, requests, clients, seed)?;
+                let detail = format!(
+                    "{} sent = {} answered ({} ok, {} degraded, {} shed, {} timeout, \
+                     {} failure, {} bad-request) with {n} injected panic(s); health green",
+                    t.sent,
+                    t.received,
+                    t.ok,
+                    t.degraded,
+                    t.shed,
+                    t.timeouts,
+                    t.failures,
+                    t.bad_requests,
+                );
+                injected = n;
+                tally = t;
+                Ok(detail)
             });
-            checks.push(SoakCheck {
-                name: "soak-server-conservation".to_string(),
-                passed: drain.metrics.conserves_responses(),
-                detail: format!(
+            suite.check("client-kill-mid-stream", || client_kill_check(addr));
+            suite.check("soak-server-conservation", || {
+                let m = shutdown(handle).metrics;
+                let detail = format!(
                     "received {} = ok {} + degraded {} + errors {} (write_errors {} from the \
                      killed client)",
-                    drain.metrics.received,
-                    drain.metrics.completed_ok,
-                    drain.metrics.degraded_served,
-                    drain.metrics.errors_total(),
-                    drain.metrics.write_errors,
-                ),
+                    m.received,
+                    m.completed_ok,
+                    m.degraded_served,
+                    m.errors_total(),
+                    m.write_errors,
+                );
+                if m.conserves_responses() {
+                    Ok(detail)
+                } else {
+                    Err(detail)
+                }
             });
         }
     }
 
-    let named = |name: &str, result: Result<String, String>| match result {
-        Ok(detail) => SoakCheck {
-            name: name.to_string(),
-            passed: true,
-            detail,
-        },
-        Err(detail) => SoakCheck {
-            name: name.to_string(),
-            passed: false,
-            detail,
-        },
-    };
-    match breaker_check(seed) {
-        Ok((detail, t)) => {
-            trips = t;
-            checks.push(SoakCheck {
-                name: "breaker-trips-and-recovers".to_string(),
-                passed: true,
-                detail,
-            });
-        }
-        Err(e) => checks.push(SoakCheck {
-            name: "breaker-trips-and-recovers".to_string(),
-            passed: false,
-            detail: e,
-        }),
-    }
-    checks.push(named("enospc-and-delay-faults", io_fault_check(seed)));
-    checks.push(named("graceful-drain-under-load", drain_check()));
-    checks.push(named("shed-burst-structured-429s", shed_check()));
+    suite.check("breaker-trips-and-recovers", || {
+        let (detail, t) = breaker_check(seed)?;
+        trips = t;
+        Ok(detail)
+    });
+    suite.check("enospc-and-delay-faults", || io_fault_check(seed));
+    suite.check("graceful-drain-under-load", drain_check);
+    suite.check("shed-burst-structured-429s", shed_check);
 
-    let passed = checks.iter().all(|c| c.passed);
+    let (checks, passed) = suite.finish();
     SoakReport {
         seed,
         requests,
@@ -591,26 +535,6 @@ pub fn run(seed: u64, requests: u64, clients: u64) -> SoakReport {
     }
 }
 
-/// `run` wrapped in `catch_unwind` per the suite convention: a broken
-/// invariant must report a failed check, not kill the harness.
-#[must_use]
-pub fn run_caught(seed: u64, requests: u64, clients: u64) -> SoakReport {
-    catch_unwind(AssertUnwindSafe(|| run(seed, requests, clients))).unwrap_or_else(|_| SoakReport {
-        seed,
-        requests,
-        clients,
-        tally: SoakTally::default(),
-        injected_faults: 0,
-        breaker_trips: 0,
-        checks: vec![SoakCheck {
-            name: "suite-panicked".to_string(),
-            passed: false,
-            detail: "the soak harness itself panicked".to_string(),
-        }],
-        passed: false,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -621,7 +545,7 @@ mod tests {
         let _chaos = crate::experiments::chaos_test_guard();
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let report = run_caught(7, 64, 4);
+        let report = run(7, 64, 4);
         std::panic::set_hook(prev);
         for c in &report.checks {
             assert!(c.passed, "{}: {}", c.name, c.detail);

@@ -23,6 +23,7 @@ pub mod experiments;
 pub mod output;
 pub mod paper;
 pub mod perf;
+pub mod soak;
 pub mod table;
 
 /// Parse `--key value` style options from `std::env::args`, with defaults.

@@ -190,40 +190,6 @@ fn checked_width(opts: &Opts, default: usize) -> Result<usize, String> {
     Ok(width)
 }
 
-fn parse_scheme(s: &str) -> Result<Scheme, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "raw" => Ok(Scheme::Raw),
-        "ras" => Ok(Scheme::Ras),
-        "rap" => Ok(Scheme::Rap),
-        "xor" => Ok(Scheme::Xor),
-        "padded" => Ok(Scheme::Padded),
-        other => Err(format!(
-            "unknown scheme '{other}' (expected raw|ras|rap|xor|padded)"
-        )),
-    }
-}
-
-fn parse_kind(s: &str) -> Result<TransposeKind, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "crsw" => Ok(TransposeKind::Crsw),
-        "srcw" => Ok(TransposeKind::Srcw),
-        "drdw" => Ok(TransposeKind::Drdw),
-        other => Err(format!("unknown kind '{other}' (expected crsw|srcw|drdw)")),
-    }
-}
-
-fn parse_pattern(s: &str) -> Result<MatrixPattern, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "contiguous" => Ok(MatrixPattern::Contiguous),
-        "stride" => Ok(MatrixPattern::Stride),
-        "diagonal" => Ok(MatrixPattern::Diagonal),
-        "random" => Ok(MatrixPattern::Random),
-        other => Err(format!(
-            "unknown pattern '{other}' (expected contiguous|stride|diagonal|random)"
-        )),
-    }
-}
-
 /// Execute a command line (without the program name) and return the
 /// rendered output.
 ///
@@ -257,13 +223,14 @@ fn mapping_for(
     opts: &Opts,
     default_width: usize,
 ) -> Result<(Box<dyn MatrixMapping>, usize), String> {
-    let scheme = parse_scheme(opts.required("scheme")?)?;
+    let scheme: Scheme = opts.required("scheme")?.parse()?;
     let width = checked_width(opts, default_width)?;
     if scheme == Scheme::Xor && !width.is_power_of_two() {
         return Err("--scheme xor needs a power-of-two --width".into());
     }
-    let seed = opts.u64("seed", 2014)?;
-    let mut rng = SmallRng::seed_from_u64(seed);
+    // Same derivation as the server's `layout`/`transpose` handlers, so a
+    // seed names one table on both surfaces.
+    let mut rng = SeedDomain::new(opts.u64("seed", 2014)?).rng(0);
     Ok((build_mapping(scheme, &mut rng, width), width))
 }
 
@@ -288,8 +255,8 @@ fn cmd_congestion(opts: &Opts) -> Result<String, String> {
 }
 
 fn cmd_pattern(opts: &Opts) -> Result<String, String> {
-    let pattern = parse_pattern(opts.required("pattern")?)?;
-    let scheme = parse_scheme(opts.required("scheme")?)?;
+    let pattern: MatrixPattern = opts.required("pattern")?.parse()?;
+    let scheme: Scheme = opts.required("scheme")?.parse()?;
     let width = checked_width(opts, 32)?;
     let trials = opts.u64("trials", 1000)?.max(1);
     let seed = opts.u64("seed", 2014)?;
@@ -329,7 +296,7 @@ fn cmd_pattern(opts: &Opts) -> Result<String, String> {
 }
 
 fn cmd_transpose(opts: &Opts) -> Result<String, String> {
-    let kind = parse_kind(opts.required("kind")?)?;
+    let kind: TransposeKind = opts.required("kind")?.parse()?;
     let (mapping, width) = mapping_for(opts, 32)?;
     let latency = opts.u64("latency", 8)?.max(1);
     let data: Vec<f64> = (0..width * width).map(|x| x as f64).collect();
@@ -346,7 +313,7 @@ fn cmd_transpose(opts: &Opts) -> Result<String, String> {
 }
 
 fn cmd_trace(opts: &Opts) -> Result<String, String> {
-    let kind = parse_kind(opts.required("kind")?)?;
+    let kind: TransposeKind = opts.required("kind")?.parse()?;
     let (mapping, width) = mapping_for(opts, 8)?;
     let latency = opts.u64("latency", 3)?.max(1);
     let machine: Dmm = Machine::new(width, latency);
@@ -557,7 +524,7 @@ fn cmd_serve(opts: &Opts) -> Result<String, String> {
     let handle = server.spawn().map_err(|e| format!("spawn: {e}"))?;
     // Announce readiness on stdout *before* blocking so scripts can wait
     // for this line instead of polling the port.
-    println!("rap-serve listening on {bound}");
+    println!("{}{bound}", rap_cluster::READY_PREFIX);
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     let report = handle.join();
@@ -646,8 +613,16 @@ struct ClusterOptions {
 /// spawned: worker counts, external addresses (rejecting duplicates —
 /// two workers cannot share a port), and the sampled-scheme requirement.
 fn cluster_options(opts: &Opts) -> Result<ClusterOptions, String> {
-    let pattern = parse_pattern(opts.map.get("pattern").map_or("random", String::as_str))?;
-    let scheme = parse_scheme(opts.map.get("scheme").map_or("rap", String::as_str))?;
+    let pattern: MatrixPattern = opts
+        .map
+        .get("pattern")
+        .map_or("random", String::as_str)
+        .parse()?;
+    let scheme: Scheme = opts
+        .map
+        .get("scheme")
+        .map_or("rap", String::as_str)
+        .parse()?;
     if !matches!(scheme, Scheme::Raw | Scheme::Ras | Scheme::Rap) {
         return Err(format!(
             "--scheme {scheme} is deterministic — there are no Monte-Carlo trials to distribute \
@@ -817,19 +792,6 @@ struct AccessOutput {
     analysis: rap_analyze::Analysis,
 }
 
-fn parse_traffic_class(s: &str) -> Result<rap_adapt::TrafficClass, String> {
-    use rap_adapt::TrafficClass;
-    match s.to_ascii_lowercase().as_str() {
-        "contiguous" => Ok(TrafficClass::Contiguous),
-        "stride" => Ok(TrafficClass::Stride),
-        "diagonal" => Ok(TrafficClass::Diagonal),
-        "random" => Ok(TrafficClass::Random),
-        other => Err(format!(
-            "unknown traffic class '{other}' (expected contiguous|stride|diagonal|random)"
-        )),
-    }
-}
-
 fn cmd_adapt(opts: &Opts) -> Result<String, String> {
     use rap_adapt::AdaptiveController;
     let trace_path = opts.required("trace")?.to_string();
@@ -881,7 +843,7 @@ fn cmd_adapt(opts: &Opts) -> Result<String, String> {
                 log.push_str(&format!("freeze {}\n", if on { "on" } else { "off" }));
             }
             class => {
-                let class = parse_traffic_class(class).map_err(at)?;
+                let class = rap_adapt::TrafficClass::parse(class).map_err(at)?;
                 let value: f64 = parts
                     .next()
                     .ok_or_else(|| at("observation needs a congestion value".to_string()))?
@@ -949,7 +911,7 @@ fn cmd_analyze(opts: &Opts) -> Result<String, String> {
     let lint_schemes: Vec<Scheme> = if scheme_arg.eq_ignore_ascii_case("all") {
         Scheme::all().to_vec()
     } else {
-        vec![parse_scheme(scheme_arg)?]
+        vec![scheme_arg.parse::<Scheme>()?]
     };
     let theorems = vec![
         certify_theorem1(width).map_err(|e| e.to_string())?,
@@ -1054,7 +1016,7 @@ fn cmd_synthesize(opts: &Opts) -> Result<String, String> {
         out.push_str(&format!("certificate written to {path}\n"));
     }
     if let Some(scheme_arg) = opts.map.get("lint") {
-        let scheme = parse_scheme(scheme_arg)?;
+        let scheme: Scheme = scheme_arg.parse()?;
         let cert_ref = emit_path.map_or("<in-memory certificate>", String::as_str);
         let diags = lint_against_optimum(cert, scheme, cert_ref)?;
         if diags.is_empty() {
@@ -1090,6 +1052,45 @@ mod tests {
         let out = call(&["layout", "--scheme", "rap", "--width", "4", "--seed", "1"]).unwrap();
         assert!(out.contains("RAP layout, w = 4"));
         assert_eq!(out.lines().count(), 2 + 4);
+    }
+
+    #[test]
+    fn cli_and_server_derive_the_same_tables_from_a_seed() {
+        use rap_serve::handler::{execute, Outcome};
+        use serde::Value;
+        let serve = |line: String| {
+            let cmd = rap_serve::Request::parse(&line).unwrap().cmd;
+            match execute(&cmd, &rap_access::CancelToken::never(), None) {
+                Outcome::Ok(data) => data,
+                other => panic!("{other:?}"),
+            }
+        };
+        for scheme in ["ras", "rap"] {
+            for seed in ["5", "2014"] {
+                let cli = call(&["layout", "--scheme", scheme, "--width", "4", "--seed", seed]);
+                let data = serve(format!(
+                    r#"{{"cmd":"layout","scheme":"{scheme}","width":4,"seed":{seed}}}"#
+                ));
+                let rendered = data.get("rendered").and_then(Value::as_str);
+                assert_eq!(cli.as_deref().ok(), rendered, "{scheme} seed {seed}");
+
+                let args = [
+                    "--kind", "crsw", "--scheme", scheme, "--width", "16", "--seed", seed,
+                ];
+                let cli = call(&[&["transpose", "--latency", "2"], &args[..]].concat()).unwrap();
+                let data = serve(format!(
+                    r#"{{"cmd":"transpose","kind":"crsw","scheme":"{scheme}","width":16,"latency":2,"seed":{seed}}}"#
+                ));
+                let num = |key| data.get(key).and_then(Value::as_f64).unwrap();
+                let served = format!(
+                    "cycles {}, read congestion {:.2}, write congestion {:.2}",
+                    num("cycles"),
+                    num("read_congestion"),
+                    num("write_congestion")
+                );
+                assert!(cli.contains(&served), "{scheme} seed {seed}: {cli}");
+            }
+        }
     }
 
     #[test]

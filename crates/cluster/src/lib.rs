@@ -34,4 +34,4 @@ pub mod worker;
 
 pub use ring::HashRing;
 pub use sweep::{Cluster, ClusterConfig, ClusterError, ClusterReport, SweepCell};
-pub use worker::{WorkerPool, READY_PREFIX};
+pub use worker::{spawn_serve, WorkerPool, READY_PREFIX};

@@ -685,17 +685,11 @@ fn with_source(data: Value, source: &str) -> Value {
 }
 
 fn raw_from_response(resp: &Response) -> Result<RawOnlineStats, String> {
-    let data = resp
+    let raw = resp
         .data
         .as_ref()
-        .ok_or_else(|| "ok response carried no data".to_string())?;
-    let pairs = data
-        .as_object()
-        .ok_or_else(|| "response data is not an object".to_string())?;
-    let raw = pairs
-        .iter()
-        .find(|(k, _)| k == "raw_stats")
-        .map(|(_, v)| v)
-        .ok_or_else(|| "response data is missing 'raw_stats'".to_string())?;
+        .ok_or("ok response carried no data")?
+        .get("raw_stats")
+        .ok_or("response data is missing 'raw_stats'")?;
     RawOnlineStats::from_value(raw).map_err(|_| "malformed 'raw_stats' payload".to_string())
 }

@@ -15,6 +15,7 @@
 //! the death through failed requests and re-dispatch the worker's leases.
 
 use rap_serve::{Client, Server, ServerConfig, ServerHandle};
+use std::ffi::OsStr;
 use std::io::{self, BufRead, BufReader};
 use std::net::SocketAddr;
 use std::path::Path;
@@ -121,41 +122,7 @@ impl WorkerPool {
         let mut slots = Vec::with_capacity(n);
         let mut backends = Vec::with_capacity(n);
         for _ in 0..n {
-            let mut child = Command::new(binary)
-                .args(["serve", "--addr", "127.0.0.1:0"])
-                .stdout(Stdio::piped())
-                .stderr(Stdio::null())
-                .stdin(Stdio::null())
-                .spawn()?;
-            let stdout = child
-                .stdout
-                .take()
-                .ok_or_else(|| io::Error::other("child stdout was not captured"))?;
-            let mut reader = BufReader::new(stdout);
-            let addr = loop {
-                let mut line = String::new();
-                if reader.read_line(&mut line)? == 0 {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "worker exited before printing its readiness line",
-                    ));
-                }
-                if let Some(rest) = line.trim().strip_prefix(READY_PREFIX) {
-                    break rest.trim().parse::<SocketAddr>().map_err(|e| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("unparseable readiness address '{rest}': {e}"),
-                        )
-                    })?;
-                }
-            };
-            // Keep the pipe drained so the child can never block on a
-            // full stdout buffer mid-soak.
-            std::thread::spawn(move || {
-                let _ = io::copy(&mut reader.into_inner(), &mut io::sink());
-            });
+            let (child, addr) = spawn_serve(binary, std::iter::empty::<&str>())?;
             slots.push(slot_for(addr));
             backends.push(Backend::Process(child));
         }
@@ -252,11 +219,17 @@ impl WorkerPool {
             .client
             .as_mut()
             .and_then(|c| c.roundtrip(r#"{"cmd":"health"}"#).ok());
-        let ok = health.as_ref().is_some_and(health_ok);
+        let field = |key| {
+            health
+                .as_ref()
+                .and_then(|r| r.data.as_ref()?.get(key)?.as_str())
+        };
+        let ok = health.as_ref().is_some_and(|r| r.ok) && field("status") == Some("ok");
         // Track the shard's swap phase as a side effect of the probe:
         // mid-migration shards are deprioritized by the router and
-        // re-admitted by the first probe that sees the commit.
-        slot.migrating = health.as_ref().is_some_and(health_migrating);
+        // re-admitted by the first probe that sees the commit (`null` or
+        // absent means the shard does not adapt at all).
+        slot.migrating = matches!(field("adapt_phase"), Some("proposed" | "migrating"));
         if !ok {
             slot.client = None;
         }
@@ -300,28 +273,60 @@ impl WorkerPool {
     }
 }
 
-/// True when a `health` response reports a server that will accept work.
-fn health_ok(resp: &rap_serve::Response) -> bool {
-    resp.ok
-        && resp
-            .data
-            .as_ref()
-            .and_then(serde::Value::as_object)
-            .and_then(|pairs| pairs.iter().find(|(k, _)| k == "status"))
-            .is_some_and(|(_, v)| matches!(v, serde::Value::String(s) if s == "ok"))
-}
-
-/// True when a `health` response reports an epoch swap in flight
-/// (`adapt_phase` of `proposed` or `migrating`; `null`/absent means the
-/// shard does not adapt at all).
-fn health_migrating(resp: &rap_serve::Response) -> bool {
-    resp.data
-        .as_ref()
-        .and_then(serde::Value::as_object)
-        .and_then(|pairs| pairs.iter().find(|(k, _)| k == "adapt_phase"))
-        .is_some_and(
-            |(_, v)| matches!(v, serde::Value::String(s) if s == "proposed" || s == "migrating"),
-        )
+/// Start `binary serve --addr 127.0.0.1:0 <extra_args>` and wait for its
+/// [`READY_PREFIX`] line, returning the child and the address it bound.
+/// The child's stdout is drained on a background thread afterwards, so it
+/// can never block on a full pipe.
+///
+/// # Errors
+/// Spawn failures, or a child that exits (or closes stdout) before
+/// printing a parseable readiness line; such a child is killed and reaped.
+pub fn spawn_serve<I, S>(binary: &Path, extra_args: I) -> io::Result<(Child, SocketAddr)>
+where
+    I: IntoIterator<Item = S>,
+    S: AsRef<OsStr>,
+{
+    let mut child = Command::new(binary)
+        .args(["serve", "--addr", "127.0.0.1:0"])
+        .args(extra_args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .stdin(Stdio::null())
+        .spawn()?;
+    let stdout = child
+        .stdout
+        .take()
+        .ok_or_else(|| io::Error::other("child stdout was not captured"))?;
+    let mut reader = BufReader::new(stdout);
+    let ready = (|| loop {
+        let mut line = String::new();
+        if reader.read_line(&mut line)? == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server exited before printing its readiness line",
+            ));
+        }
+        if let Some(rest) = line.trim().strip_prefix(READY_PREFIX) {
+            return rest.trim().parse::<SocketAddr>().map_err(|e| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("unparseable readiness address '{rest}': {e}"),
+                )
+            });
+        }
+    })();
+    let addr = match ready {
+        Ok(addr) => addr,
+        Err(e) => {
+            let _ = child.kill();
+            let _ = child.wait();
+            return Err(e);
+        }
+    };
+    std::thread::spawn(move || {
+        let _ = io::copy(&mut reader.into_inner(), &mut io::sink());
+    });
+    Ok((child, addr))
 }
 
 impl Drop for WorkerPool {

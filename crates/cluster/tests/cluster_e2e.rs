@@ -192,17 +192,7 @@ fn queries_route_and_fail_over_to_local_degraded() {
     std::thread::sleep(Duration::from_millis(50));
     let resp = cluster.query("warm-key", line).expect("degraded fallback");
     assert!(resp.ok && resp.degraded);
-    let data = resp.data.as_ref().unwrap();
-    let source = data
-        .as_object()
-        .unwrap()
-        .iter()
-        .find(|(k, _)| k == "source")
-        .map(|(_, v)| v.clone());
-    assert_eq!(
-        source,
-        Some(serde::Value::String("cluster-local".to_string()))
-    );
+    assert_eq!(data_str(&resp, "source"), "cluster-local");
     cluster.pool().shutdown();
 }
 
@@ -215,32 +205,20 @@ fn received(addrs: &[std::net::SocketAddr]) -> Vec<u64> {
         .map(|&addr| {
             let mut c = rap_serve::Client::connect(addr).expect("connect for stats");
             let resp = c.roundtrip(r#"{"cmd":"stats"}"#).expect("stats roundtrip");
-            let metrics = resp
-                .data
+            resp.data
                 .as_ref()
-                .and_then(serde::Value::as_object)
-                .and_then(|d| d.iter().find(|(k, _)| k == "metrics"))
-                .and_then(|(_, v)| v.as_object())
-                .expect("stats payload has a metrics object");
-            match metrics.iter().find(|(k, _)| k == "received") {
-                Some((_, serde::Value::U64(n))) => *n,
-                other => panic!("no received counter in {other:?}"),
-            }
+                .and_then(|d| d.get("metrics")?.get("received")?.as_u64())
+                .unwrap_or_else(|| panic!("no received counter in {resp:?}"))
         })
         .collect()
 }
 
 /// A top-level string field of a response payload.
 fn data_str(resp: &rap_serve::Response, key: &str) -> String {
-    resp.data
-        .as_ref()
-        .and_then(serde::Value::as_object)
-        .and_then(|d| d.iter().find(|(k, _)| k == key))
-        .and_then(|(_, v)| match v {
-            serde::Value::String(s) => Some(s.clone()),
-            _ => None,
-        })
+    let value = resp.data.as_ref().and_then(|d| d.get(key)?.as_str());
+    value
         .unwrap_or_else(|| panic!("no string field '{key}' in {resp:?}"))
+        .to_string()
 }
 
 #[test]

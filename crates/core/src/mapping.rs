@@ -86,6 +86,24 @@ impl std::fmt::Display for Scheme {
     }
 }
 
+impl std::str::FromStr for Scheme {
+    type Err = String;
+
+    /// Parse a scheme name, case-insensitively.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "raw" => Ok(Scheme::Raw),
+            "ras" => Ok(Scheme::Ras),
+            "rap" => Ok(Scheme::Rap),
+            "xor" => Ok(Scheme::Xor),
+            "padded" => Ok(Scheme::Padded),
+            other => Err(format!(
+                "unknown scheme '{other}' (expected raw|ras|rap|xor|padded)"
+            )),
+        }
+    }
+}
+
 /// Object-safe interface of a `w × w` matrix address mapping.
 pub trait MatrixMapping {
     /// Matrix dimension / number of banks / warp width `w`.

@@ -45,40 +45,6 @@ pub enum Outcome {
     Failed(String),
 }
 
-fn parse_scheme(s: &str) -> Result<Scheme, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "raw" => Ok(Scheme::Raw),
-        "ras" => Ok(Scheme::Ras),
-        "rap" => Ok(Scheme::Rap),
-        "xor" => Ok(Scheme::Xor),
-        "padded" => Ok(Scheme::Padded),
-        other => Err(format!(
-            "unknown scheme '{other}' (expected raw|ras|rap|xor|padded)"
-        )),
-    }
-}
-
-fn parse_pattern(s: &str) -> Result<MatrixPattern, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "contiguous" => Ok(MatrixPattern::Contiguous),
-        "stride" => Ok(MatrixPattern::Stride),
-        "diagonal" => Ok(MatrixPattern::Diagonal),
-        "random" => Ok(MatrixPattern::Random),
-        other => Err(format!(
-            "unknown pattern '{other}' (expected contiguous|stride|diagonal|random)"
-        )),
-    }
-}
-
-fn parse_kind(s: &str) -> Result<TransposeKind, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "crsw" => Ok(TransposeKind::Crsw),
-        "srcw" => Ok(TransposeKind::Srcw),
-        "drdw" => Ok(TransposeKind::Drdw),
-        other => Err(format!("unknown kind '{other}' (expected crsw|srcw|drdw)")),
-    }
-}
-
 fn check_xor_width(scheme: Scheme, width: usize) -> Result<(), String> {
     if scheme == Scheme::Xor && !width.is_power_of_two() {
         return Err(format!(
@@ -110,6 +76,10 @@ fn raw_stats_value(raw: &rap_stats::RawOnlineStats) -> Value {
     ])
 }
 
+/// A command's answer; `Err` is a `bad_request` message, so request
+/// validation can use `?`.
+type Answer = Result<Outcome, String>;
+
 /// Execute one command. Must be called inside a `catch_unwind` boundary:
 /// the `serve.handler` failpoint (and any real handler bug) may panic —
 /// as may the `adapt.*` epoch failpoints reached through `adapt` on
@@ -121,13 +91,13 @@ pub fn execute(cmd: &Command, token: &CancelToken, adapt: Option<&AdaptiveContro
     if let Err(e) = failpoint::fire("serve.handler") {
         return Outcome::Failed(format!("handler I/O fault: {e}"));
     }
-    match cmd {
+    let answer = match cmd {
         Command::Layout {
             scheme,
             width,
             seed,
         } => layout(scheme, *width, *seed),
-        Command::Congestion { width, addresses } => congestion(*width, addresses),
+        Command::Congestion { width, addresses } => Ok(congestion(*width, addresses)),
         Command::Pattern {
             pattern,
             scheme,
@@ -172,34 +142,31 @@ pub fn execute(cmd: &Command, token: &CancelToken, adapt: Option<&AdaptiveContro
             width,
             seed,
         } => synthesize_layout(workload, mode, *width, *seed),
-        Command::AdaptForce { target, steps } => adapt_force(adapt, target, *steps),
+        Command::AdaptForce { target, steps } => Ok(adapt_force(adapt, target, *steps)),
         // Inline commands never reach the worker pool.
         Command::AdaptStatus
         | Command::AdaptFreeze { .. }
         | Command::Health
         | Command::Stats
-        | Command::Shutdown => {
-            Outcome::Failed(format!("command '{}' is served inline", cmd.name()))
-        }
-    }
+        | Command::Shutdown => Ok(Outcome::Failed(format!(
+            "command '{}' is served inline",
+            cmd.name()
+        ))),
+    };
+    answer.unwrap_or_else(Outcome::BadRequest)
 }
 
-fn layout(scheme_str: &str, width: usize, seed: u64) -> Outcome {
-    let scheme = match parse_scheme(scheme_str) {
-        Ok(s) => s,
-        Err(e) => return Outcome::BadRequest(e),
-    };
-    if let Err(e) = check_xor_width(scheme, width) {
-        return Outcome::BadRequest(e);
-    }
+fn layout(scheme_str: &str, width: usize, seed: u64) -> Answer {
+    let scheme: Scheme = scheme_str.parse()?;
+    check_xor_width(scheme, width)?;
     let mut rng = SeedDomain::new(seed).rng(0);
     let mapping = build_mapping(scheme, &mut rng, width);
-    Outcome::Ok(object(vec![
+    Ok(Outcome::Ok(object(vec![
         ("scheme", Value::String(scheme.to_string())),
         ("width", Value::U64(width as u64)),
         ("seed", Value::U64(seed)),
         ("rendered", Value::String(render_layout(mapping.as_ref()))),
-    ]))
+    ])))
 }
 
 fn congestion(width: usize, addresses: &[u64]) -> Outcome {
@@ -233,18 +200,10 @@ fn pattern_mc(
     trials: u64,
     seed: u64,
     token: &CancelToken,
-) -> Outcome {
-    let pattern = match parse_pattern(pattern_str) {
-        Ok(p) => p,
-        Err(e) => return Outcome::BadRequest(e),
-    };
-    let scheme = match parse_scheme(scheme_str) {
-        Ok(s) => s,
-        Err(e) => return Outcome::BadRequest(e),
-    };
-    if let Err(e) = check_xor_width(scheme, width) {
-        return Outcome::BadRequest(e);
-    }
+) -> Answer {
+    let pattern: MatrixPattern = pattern_str.parse()?;
+    let scheme: Scheme = scheme_str.parse()?;
+    check_xor_width(scheme, width)?;
     let domain = SeedDomain::new(seed);
     let partial = match scheme {
         Scheme::Raw | Scheme::Ras | Scheme::Rap => {
@@ -290,19 +249,28 @@ fn pattern_mc(
         ("cancelled", Value::Bool(partial.cancelled)),
         ("source", Value::String("monte-carlo".into())),
     ]);
-    if !partial.cancelled {
-        return Outcome::Ok(data);
-    }
-    if partial.completed_blocks == 0 {
-        return Outcome::TimedOut("deadline expired before any Monte-Carlo block completed".into());
-    }
-    Outcome::Degraded(
+    Ok(mc_outcome(
         data,
-        format!(
-            "deadline expired after {}/{} blocks; partial estimate",
-            partial.completed_blocks, partial.total_blocks
-        ),
-    )
+        partial.completed_blocks,
+        partial.total_blocks,
+        partial.cancelled,
+    ))
+}
+
+/// A Monte-Carlo payload's outcome: full when every block ran, a degraded
+/// partial estimate when the deadline cut the run short, a timeout when
+/// no block completed.
+fn mc_outcome(data: Value, done: u64, total: u64, cancelled: bool) -> Outcome {
+    if !cancelled {
+        Outcome::Ok(data)
+    } else if done == 0 {
+        Outcome::TimedOut("deadline expired before any Monte-Carlo block completed".into())
+    } else {
+        Outcome::Degraded(
+            data,
+            format!("deadline expired after {done}/{total} blocks; partial estimate"),
+        )
+    }
 }
 
 /// Serve a `pattern` query for scheme `"adaptive"`: resolve the
@@ -319,30 +287,27 @@ fn pattern_adaptive(
     seed: u64,
     token: &CancelToken,
     adapt: Option<&AdaptiveController>,
-) -> Outcome {
+) -> Answer {
     let Some(ctl) = adapt else {
-        return Outcome::BadRequest(
+        return Err(
             "scheme 'adaptive' needs adaptive remapping enabled on this server \
              (start with --adapt)"
                 .to_string(),
         );
     };
-    let pattern = match parse_pattern(pattern_str) {
-        Ok(p) => p,
-        Err(e) => return Outcome::BadRequest(e),
-    };
+    let pattern: MatrixPattern = pattern_str.parse()?;
     if width != ctl.width() {
-        return Outcome::BadRequest(format!(
+        return Err(format!(
             "scheme 'adaptive' serves the controller's tile width {}, got {width}",
             ctl.width()
         ));
     }
     let active = ctl.active();
     let outcome = match &active.kind {
-        // The canonical scheme name round-trips through `parse_scheme`,
+        // The canonical scheme name round-trips through `Scheme::from_str`,
         // so the delegated payload is the one a static request produces.
         CandidateKind::Scheme(scheme) => {
-            pattern_mc(pattern_str, &scheme.to_string(), width, trials, seed, token)
+            pattern_mc(pattern_str, &scheme.to_string(), width, trials, seed, token)?
         }
         CandidateKind::Table(layout) => pattern_table(
             pattern_str,
@@ -352,7 +317,7 @@ fn pattern_adaptive(
             trials,
             seed,
             token,
-        ),
+        )?,
     };
     // Close the loop: the response's own mean congestion is the
     // observation. This may advance the epoch machine (and, under an
@@ -360,11 +325,12 @@ fn pattern_adaptive(
     // payload above is computed, and a retried request recomputes it
     // deterministically from the same seed.
     if let Outcome::Ok(data) | Outcome::Degraded(data, _) = &outcome {
-        if let Some(mean) = observed_mean(data) {
+        let mean = data.get("stats").and_then(|s| s.get("mean"));
+        if let Some(mean) = mean.and_then(Value::as_f64).filter(|m| m.is_finite()) {
             ctl.observe(traffic_class(pattern), mean);
         }
     }
-    outcome
+    Ok(outcome)
 }
 
 /// Evaluate a pattern family under a fixed synthesized shift table —
@@ -380,16 +346,17 @@ fn pattern_table(
     trials: u64,
     seed: u64,
     token: &CancelToken,
-) -> Outcome {
-    let pattern = match parse_pattern(pattern_str) {
-        Ok(p) => p,
-        Err(e) => return Outcome::BadRequest(e),
-    };
+) -> Answer {
+    let pattern: MatrixPattern = pattern_str.parse()?;
     // The table was validated when the candidate was built; a rejection
     // here is an internal invariant violation, not a client error.
     let mapping = match RowShift::ras_from(width, layout.to_vec()) {
         Ok(m) => m,
-        Err(e) => return Outcome::Failed(format!("active synthesized table rejected: {e}")),
+        Err(e) => {
+            return Ok(Outcome::Failed(format!(
+                "active synthesized table rejected: {e}"
+            )))
+        }
     };
     let domain = SeedDomain::new(seed);
     let n_trials = if pattern == MatrixPattern::Random {
@@ -421,16 +388,7 @@ fn pattern_table(
         ("cancelled", Value::Bool(cancelled)),
         ("source", Value::String("monte-carlo".into())),
     ]);
-    if !cancelled {
-        return Outcome::Ok(data);
-    }
-    if done == 0 {
-        return Outcome::TimedOut("deadline expired before any Monte-Carlo block completed".into());
-    }
-    Outcome::Degraded(
-        data,
-        format!("deadline expired after {done}/{n_trials} blocks; partial estimate"),
-    )
+    Ok(mc_outcome(data, done, n_trials, cancelled))
 }
 
 fn traffic_class(pattern: MatrixPattern) -> TrafficClass {
@@ -441,20 +399,6 @@ fn traffic_class(pattern: MatrixPattern) -> TrafficClass {
         // The wire grammar has no broadcast pattern; bucket it under the
         // trivial-envelope class if one ever reaches here.
         MatrixPattern::Random | MatrixPattern::Broadcast => TrafficClass::Random,
-    }
-}
-
-/// Pull `data.stats.mean` back out of a finished pattern payload.
-fn observed_mean(data: &Value) -> Option<f64> {
-    let field = |v: &Value, key: &str| -> Option<Value> {
-        v.as_object()?
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone())
-    };
-    match field(&field(data, "stats")?, "mean")? {
-        Value::F64(mean) if mean.is_finite() => Some(mean),
-        _ => None,
     }
 }
 
@@ -506,17 +450,11 @@ fn pattern_block(
     block: u64,
     seed: u64,
     domain_state: Option<u64>,
-) -> Outcome {
-    let pattern = match parse_pattern(pattern_str) {
-        Ok(p) => p,
-        Err(e) => return Outcome::BadRequest(e),
-    };
-    let scheme = match parse_scheme(scheme_str) {
-        Ok(s) => s,
-        Err(e) => return Outcome::BadRequest(e),
-    };
+) -> Answer {
+    let pattern: MatrixPattern = pattern_str.parse()?;
+    let scheme: Scheme = scheme_str.parse()?;
     if !matches!(scheme, Scheme::Raw | Scheme::Ras | Scheme::Rap) {
-        return Outcome::BadRequest(format!(
+        return Err(format!(
             "scheme '{scheme}' is deterministic and has no Monte-Carlo block \
              decomposition; use 'pattern'"
         ));
@@ -525,7 +463,7 @@ fn pattern_block(
     // domain losslessly; the mixing `seed` form cannot express one.
     let domain = domain_state.map_or_else(|| SeedDomain::new(seed), SeedDomain::from_state);
     let stats = matrix_block_stats(scheme, pattern, width, trials, block, &domain);
-    Outcome::Ok(object(vec![
+    Ok(Outcome::Ok(object(vec![
         ("pattern", Value::String(pattern_str.to_ascii_lowercase())),
         ("scheme", Value::String(scheme.to_string())),
         ("width", Value::U64(width as u64)),
@@ -534,40 +472,26 @@ fn pattern_block(
         ("total_blocks", Value::U64(blocks_for(trials))),
         ("raw_stats", raw_stats_value(&stats.to_raw())),
         ("source", Value::String("monte-carlo-block".into())),
-    ]))
+    ])))
 }
 
-fn analyze(width: usize) -> Outcome {
-    let t1 = match certify_theorem1(width) {
-        Ok(t) => t,
-        Err(e) => return Outcome::BadRequest(e.to_string()),
-    };
-    let t2 = match certify_theorem2(width) {
-        Ok(t) => t,
-        Err(e) => return Outcome::BadRequest(e.to_string()),
-    };
+fn analyze(width: usize) -> Answer {
+    let t1 = certify_theorem1(width).map_err(|e| e.to_string())?;
+    let t2 = certify_theorem2(width).map_err(|e| e.to_string())?;
     let proven = t1.proven && t2.proven;
-    Outcome::Ok(object(vec![
+    Ok(Outcome::Ok(object(vec![
         ("width", Value::U64(width as u64)),
         ("theorems", Value::Array(vec![t1.to_value(), t2.to_value()])),
         ("proven", Value::Bool(proven)),
-    ]))
+    ])))
 }
 
-fn transpose(kind_str: &str, scheme_str: &str, width: usize, latency: u64, seed: u64) -> Outcome {
-    let kind = match parse_kind(kind_str) {
-        Ok(k) => k,
-        Err(e) => return Outcome::BadRequest(e),
-    };
-    let scheme = match parse_scheme(scheme_str) {
-        Ok(s) => s,
-        Err(e) => return Outcome::BadRequest(e),
-    };
-    if let Err(e) = check_xor_width(scheme, width) {
-        return Outcome::BadRequest(e);
-    }
+fn transpose(kind_str: &str, scheme_str: &str, width: usize, latency: u64, seed: u64) -> Answer {
+    let kind: TransposeKind = kind_str.parse()?;
+    let scheme: Scheme = scheme_str.parse()?;
+    check_xor_width(scheme, width)?;
     if width > MAX_TRANSPOSE_WIDTH {
-        return Outcome::BadRequest(format!(
+        return Err(format!(
             "transpose simulates every DMM cycle; width is capped at \
              {MAX_TRANSPOSE_WIDTH}, got {width}"
         ));
@@ -576,7 +500,7 @@ fn transpose(kind_str: &str, scheme_str: &str, width: usize, latency: u64, seed:
     let mapping = build_mapping(scheme, &mut rng, width);
     let data: Vec<f64> = (0..width * width).map(|x| x as f64).collect();
     let run = run_transpose(kind, mapping.as_ref(), latency.max(1), &data);
-    Outcome::Ok(object(vec![
+    Ok(Outcome::Ok(object(vec![
         ("kind", Value::String(kind.to_string())),
         ("scheme", Value::String(run.scheme.clone())),
         ("width", Value::U64(width as u64)),
@@ -585,32 +509,23 @@ fn transpose(kind_str: &str, scheme_str: &str, width: usize, latency: u64, seed:
         ("read_congestion", Value::F64(run.read_congestion())),
         ("write_congestion", Value::F64(run.write_congestion())),
         ("verified", Value::Bool(run.verified)),
-    ]))
+    ])))
 }
 
-fn synthesize_layout(workload_str: &str, mode_str: &str, width: usize, seed: u64) -> Outcome {
-    let mode = match rap_synthesize::Mode::parse(mode_str) {
-        Ok(m) => m,
-        Err(e) => return Outcome::BadRequest(e),
-    };
-    let workload = match rap_synthesize::parse_workload(workload_str, width) {
-        Ok(w) => w,
-        Err(e) => return Outcome::BadRequest(e),
-    };
-    let synthesis = match rap_synthesize::synthesize(&workload, mode, seed) {
-        Ok(s) => s,
-        Err(e) => return Outcome::BadRequest(e),
-    };
+fn synthesize_layout(workload_str: &str, mode_str: &str, width: usize, seed: u64) -> Answer {
+    let mode = rap_synthesize::Mode::parse(mode_str)?;
+    let workload = rap_synthesize::parse_workload(workload_str, width)?;
+    let synthesis = rap_synthesize::synthesize(&workload, mode, seed)?;
     // Every certificate the service emits is gated by the independent
     // checker; a rejection here is an internal invariant violation (the
     // search produced a bad certificate), not a client error.
     if let Err(e) = rap_synthesize::check_certificate(&synthesis.certificate) {
-        return Outcome::Failed(format!(
+        return Ok(Outcome::Failed(format!(
             "synthesized certificate rejected by the independent checker: {e}"
-        ));
+        )));
     }
     let cert = &synthesis.certificate;
-    Outcome::Ok(object(vec![
+    Ok(Outcome::Ok(object(vec![
         ("mode", Value::String(cert.mode.clone())),
         ("width", Value::U64(cert.width as u64)),
         ("method", Value::String(cert.method.clone())),
@@ -620,7 +535,7 @@ fn synthesize_layout(workload_str: &str, mode_str: &str, width: usize, seed: u64
         ("checked", Value::Bool(true)),
         ("certificate", cert.to_value()),
         ("source", Value::String("synthesis".into())),
-    ]))
+    ])))
 }
 
 /// The analyzer-backed degraded path for `synthesize` requests: no layout
@@ -696,7 +611,7 @@ pub fn degraded_pattern(
     width: usize,
 ) -> Result<Value, String> {
     let pattern = FallbackPattern::parse(pattern_str)?;
-    let scheme = parse_scheme(scheme_str)?;
+    let scheme: Scheme = scheme_str.parse()?;
     check_xor_width(scheme, width)?;
     let analysis = fallback_bounds(scheme, pattern, width).map_err(|e| e.to_string())?;
     Ok(object(vec![
@@ -719,13 +634,6 @@ mod tests {
         CancelToken::never()
     }
 
-    fn get<'v>(data: &'v Value, key: &str) -> &'v Value {
-        match data.as_object().unwrap().iter().find(|(k, _)| k == key) {
-            Some((_, v)) => v,
-            None => panic!("missing key {key}"),
-        }
-    }
-
     #[test]
     fn layout_renders_for_every_scheme() {
         for scheme in ["raw", "ras", "rap", "xor", "padded"] {
@@ -740,7 +648,7 @@ mod tests {
             );
             match out {
                 Outcome::Ok(data) => {
-                    let Value::String(s) = get(&data, "rendered") else {
+                    let Some(s) = data.get("rendered").and_then(Value::as_str) else {
                         panic!("rendered must be a string")
                     };
                     assert!(s.contains("layout"), "{scheme}: {s}");
@@ -798,8 +706,8 @@ mod tests {
         );
         match out {
             Outcome::Ok(data) => {
-                assert_eq!(get(&data, "congestion"), &Value::U64(3));
-                assert_eq!(get(&data, "conflict_free"), &Value::Bool(false));
+                assert_eq!(data.get("congestion"), Some(&Value::U64(3)));
+                assert_eq!(data.get("conflict_free"), Some(&Value::Bool(false)));
             }
             other => panic!("{other:?}"),
         }
@@ -820,9 +728,9 @@ mod tests {
         );
         match out {
             Outcome::Ok(data) => {
-                let stats = get(&data, "stats");
-                assert_eq!(get(stats, "mean"), &Value::F64(1.0), "Theorem 2");
-                assert_eq!(get(&data, "cancelled"), &Value::Bool(false));
+                let stats = data.get("stats").unwrap();
+                assert_eq!(stats.get("mean"), Some(&Value::F64(1.0)), "Theorem 2");
+                assert_eq!(data.get("cancelled"), Some(&Value::Bool(false)));
             }
             other => panic!("{other:?}"),
         }
@@ -845,7 +753,7 @@ mod tests {
         match out {
             Outcome::TimedOut(_) => {}
             Outcome::Degraded(data, _) => {
-                assert_eq!(get(&data, "cancelled"), &Value::Bool(true));
+                assert_eq!(data.get("cancelled"), Some(&Value::Bool(true)));
             }
             other => panic!("expected timeout/degraded, got {other:?}"),
         }
@@ -866,7 +774,10 @@ mod tests {
         );
         match out {
             Outcome::Ok(data) => {
-                assert_eq!(get(get(&data, "stats"), "mean"), &Value::F64(1.0));
+                assert_eq!(
+                    data.get("stats").and_then(|s| s.get("mean")),
+                    Some(&Value::F64(1.0))
+                );
             }
             other => panic!("{other:?}"),
         }
@@ -893,10 +804,11 @@ mod tests {
             let Outcome::Ok(data) = out else {
                 panic!("{out:?}");
             };
-            let raw = get(&data, "raw_stats");
-            let bits = |key: &str| match get(raw, key) {
-                Value::U64(v) => *v,
-                other => panic!("{key}: {other:?}"),
+            let raw = data.get("raw_stats").unwrap();
+            let bits = |key: &str| {
+                raw.get(key)
+                    .and_then(Value::as_u64)
+                    .unwrap_or_else(|| panic!("{key}: {raw:?}"))
             };
             merged.merge(&OnlineStats::from_raw(&rap_stats::RawOnlineStats {
                 count: bits("count"),
@@ -953,9 +865,15 @@ mod tests {
             0,
             &cell,
         );
-        let raw = get(&data, "raw_stats");
-        assert_eq!(get(raw, "mean_bits"), &Value::U64(local.to_raw().mean_bits));
-        assert_eq!(get(raw, "m2_bits"), &Value::U64(local.to_raw().m2_bits));
+        let raw = data.get("raw_stats").unwrap();
+        assert_eq!(
+            raw.get("mean_bits"),
+            Some(&Value::U64(local.to_raw().mean_bits))
+        );
+        assert_eq!(
+            raw.get("m2_bits"),
+            Some(&Value::U64(local.to_raw().m2_bits))
+        );
     }
 
     #[test]
@@ -983,7 +901,7 @@ mod tests {
     fn analyze_certifies_both_theorems() {
         let out = execute(&Command::Analyze { width: 8 }, &never(), None);
         match out {
-            Outcome::Ok(data) => assert_eq!(get(&data, "proven"), &Value::Bool(true)),
+            Outcome::Ok(data) => assert_eq!(data.get("proven"), Some(&Value::Bool(true))),
             other => panic!("{other:?}"),
         }
     }
@@ -1003,8 +921,8 @@ mod tests {
         );
         match out {
             Outcome::Ok(data) => {
-                assert_eq!(get(&data, "verified"), &Value::Bool(true));
-                assert_eq!(get(&data, "write_congestion"), &Value::F64(1.0));
+                assert_eq!(data.get("verified"), Some(&Value::Bool(true)));
+                assert_eq!(data.get("write_congestion"), Some(&Value::F64(1.0)));
             }
             other => panic!("{other:?}"),
         }
@@ -1024,14 +942,14 @@ mod tests {
         );
         match out {
             Outcome::Ok(data) => {
-                assert_eq!(get(&data, "checked"), &Value::Bool(true));
-                assert_eq!(get(&data, "optimal"), &Value::Bool(true));
+                assert_eq!(data.get("checked"), Some(&Value::Bool(true)));
+                assert_eq!(data.get("optimal"), Some(&Value::Bool(true)));
                 // Columns are conflict-free under every permutation shift
                 // and rows under any shift at all, so the exhaustive
                 // search must certify objective 1.
-                assert_eq!(get(&data, "objective"), &Value::U64(1));
-                let cert = get(&data, "certificate");
-                assert_eq!(get(cert, "width"), &Value::U64(4));
+                assert_eq!(data.get("objective"), Some(&Value::U64(1)));
+                let cert = data.get("certificate").unwrap();
+                assert_eq!(cert.get("width"), Some(&Value::U64(4)));
             }
             other => panic!("{other:?}"),
         }
@@ -1071,11 +989,11 @@ mod tests {
         // A pure column workload: Padded certifies congestion 1, so the
         // degraded path must pick it over RAW's worst-case w.
         let data = degraded_synthesize("column:0", 8).unwrap();
-        assert_eq!(get(&data, "hi"), &Value::U64(1));
-        assert_eq!(get(&data, "scheme"), &Value::String("Padded".into()));
+        assert_eq!(data.get("hi"), Some(&Value::U64(1)));
+        assert_eq!(data.get("scheme"), Some(&Value::String("Padded".into())));
         assert_eq!(
-            get(&data, "source"),
-            &Value::String("static-analyzer".into())
+            data.get("source").and_then(Value::as_str),
+            Some("static-analyzer")
         );
         assert!(degraded_synthesize("bogus:1", 8).is_err());
         assert!(degraded_synthesize("column:0", 0).is_err());
@@ -1099,10 +1017,10 @@ mod tests {
     #[test]
     fn degraded_pattern_returns_certified_bounds() {
         let data = degraded_pattern("stride", "rap", 16).unwrap();
-        assert_eq!(get(&data, "lo"), &Value::U64(1));
-        assert_eq!(get(&data, "hi"), &Value::U64(1), "Theorem 2 bound");
+        assert_eq!(data.get("lo"), Some(&Value::U64(1)));
+        assert_eq!(data.get("hi"), Some(&Value::U64(1)), "Theorem 2 bound");
         let raw = degraded_pattern("stride", "raw", 16).unwrap();
-        assert_eq!(get(&raw, "hi"), &Value::U64(16));
+        assert_eq!(raw.get("hi"), Some(&Value::U64(16)));
         assert!(degraded_pattern("zigzag", "rap", 16).is_err());
         assert!(degraded_pattern("stride", "xor", 12)
             .unwrap_err()
@@ -1172,9 +1090,9 @@ mod tests {
         );
         match out {
             Outcome::Ok(data) => {
-                assert_eq!(get(&data, "scheme"), &Value::String("padded".into()));
-                assert_eq!(get(&data, "phase"), &Value::String("stable".into()));
-                assert_eq!(get(&data, "epoch"), &Value::U64(1));
+                assert_eq!(data.get("scheme"), Some(&Value::String("padded".into())));
+                assert_eq!(data.get("phase"), Some(&Value::String("stable".into())));
+                assert_eq!(data.get("epoch"), Some(&Value::U64(1)));
             }
             other => panic!("{other:?}"),
         }
@@ -1269,10 +1187,13 @@ mod tests {
         assert_eq!(a, b, "table evaluation is deterministic");
         match a {
             Outcome::Ok(data) => {
-                assert_eq!(get(&data, "scheme"), &Value::String(synth));
+                assert_eq!(data.get("scheme"), Some(&Value::String(synth)));
                 // The synthesized table was optimized for this workload:
                 // contiguous rows stay conflict-free.
-                assert_eq!(get(get(&data, "stats"), "mean"), &Value::F64(1.0));
+                assert_eq!(
+                    data.get("stats").and_then(|s| s.get("mean")),
+                    Some(&Value::F64(1.0))
+                );
             }
             other => panic!("{other:?}"),
         }

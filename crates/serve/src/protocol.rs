@@ -185,12 +185,8 @@ pub struct Request {
     pub timeout_ms: Option<u64>,
 }
 
-fn lookup<'v>(pairs: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
-    pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn opt_u64(pairs: &[(String, Value)], key: &str) -> Result<Option<u64>, String> {
-    match lookup(pairs, key) {
+fn opt_u64(req: &Value, key: &str) -> Result<Option<u64>, String> {
+    match req.get(key) {
         None | Some(Value::Null) => Ok(None),
         Some(v) => u64::from_value(v)
             .map(Some)
@@ -198,20 +194,20 @@ fn opt_u64(pairs: &[(String, Value)], key: &str) -> Result<Option<u64>, String> 
     }
 }
 
-fn opt_string(pairs: &[(String, Value)], key: &str) -> Result<Option<String>, String> {
-    match lookup(pairs, key) {
+fn opt_string(req: &Value, key: &str) -> Result<Option<String>, String> {
+    match req.get(key) {
         None | Some(Value::Null) => Ok(None),
         Some(Value::String(s)) => Ok(Some(s.clone())),
         Some(_) => Err(format!("field '{key}' must be a string")),
     }
 }
 
-fn required_string(pairs: &[(String, Value)], key: &str) -> Result<String, String> {
-    opt_string(pairs, key)?.ok_or_else(|| format!("missing required field '{key}'"))
+fn required_string(req: &Value, key: &str) -> Result<String, String> {
+    opt_string(req, key)?.ok_or_else(|| format!("missing required field '{key}'"))
 }
 
-fn width_field(pairs: &[(String, Value)], default: usize) -> Result<usize, String> {
-    let w = opt_u64(pairs, "width")?.map_or(default, |v| v as usize);
+fn width_field(req: &Value, default: usize) -> Result<usize, String> {
+    let w = opt_u64(req, "width")?.map_or(default, |v| v as usize);
     if w == 0 || w > MAX_WIDTH {
         return Err(format!("field 'width' must be 1..={MAX_WIDTH}, got {w}"));
     }
@@ -227,20 +223,19 @@ impl Request {
     pub fn parse(line: &str) -> Result<Self, String> {
         let value: Value =
             serde_json::from_str(line.trim()).map_err(|e| format!("invalid JSON: {e}"))?;
-        let pairs = value
-            .as_object()
-            .ok_or_else(|| "request must be a JSON object".to_string())?;
-        let id = opt_u64(pairs, "id")?;
-        let timeout_ms = opt_u64(pairs, "timeout_ms")?;
-        let cmd_name = required_string(pairs, "cmd")?;
+        let req = &value;
+        req.as_object().ok_or("request must be a JSON object")?;
+        let id = opt_u64(req, "id")?;
+        let timeout_ms = opt_u64(req, "timeout_ms")?;
+        let cmd_name = required_string(req, "cmd")?;
         let cmd = match cmd_name.as_str() {
             "layout" => Command::Layout {
-                scheme: required_string(pairs, "scheme")?,
-                width: width_field(pairs, 8)?,
-                seed: opt_u64(pairs, "seed")?.unwrap_or(2014),
+                scheme: required_string(req, "scheme")?,
+                width: width_field(req, 8)?,
+                seed: opt_u64(req, "seed")?.unwrap_or(2014),
             },
             "congestion" => {
-                let addresses = match lookup(pairs, "addresses") {
+                let addresses = match req.get("addresses") {
                     Some(v) => Vec::<u64>::from_value(v).map_err(|_| {
                         "field 'addresses' must be an array of non-negative integers".to_string()
                     })?,
@@ -256,24 +251,20 @@ impl Request {
                     ));
                 }
                 Command::Congestion {
-                    width: width_field(pairs, 32)?,
+                    width: width_field(req, 32)?,
                     addresses,
                 }
             }
             "pattern" => Command::Pattern {
-                pattern: required_string(pairs, "pattern")?,
-                scheme: required_string(pairs, "scheme")?,
-                width: width_field(pairs, 32)?,
-                trials: opt_u64(pairs, "trials")?
-                    .unwrap_or(1000)
-                    .clamp(1, 1_000_000),
-                seed: opt_u64(pairs, "seed")?.unwrap_or(2014),
+                pattern: required_string(req, "pattern")?,
+                scheme: required_string(req, "scheme")?,
+                width: width_field(req, 32)?,
+                trials: opt_u64(req, "trials")?.unwrap_or(1000).clamp(1, 1_000_000),
+                seed: opt_u64(req, "seed")?.unwrap_or(2014),
             },
             "pattern_block" => {
-                let trials = opt_u64(pairs, "trials")?
-                    .unwrap_or(1000)
-                    .clamp(1, 1_000_000);
-                let block = opt_u64(pairs, "block")?
+                let trials = opt_u64(req, "trials")?.unwrap_or(1000).clamp(1, 1_000_000);
+                let block = opt_u64(req, "block")?
                     .ok_or_else(|| "missing required field 'block'".to_string())?;
                 let blocks = rap_access::montecarlo::blocks_for(trials);
                 if block >= blocks {
@@ -282,40 +273,40 @@ impl Request {
                     ));
                 }
                 Command::PatternBlock {
-                    pattern: required_string(pairs, "pattern")?,
-                    scheme: required_string(pairs, "scheme")?,
-                    width: width_field(pairs, 32)?,
+                    pattern: required_string(req, "pattern")?,
+                    scheme: required_string(req, "scheme")?,
+                    width: width_field(req, 32)?,
                     trials,
                     block,
-                    seed: opt_u64(pairs, "seed")?.unwrap_or(2014),
-                    domain_state: opt_u64(pairs, "domain_state")?,
+                    seed: opt_u64(req, "seed")?.unwrap_or(2014),
+                    domain_state: opt_u64(req, "domain_state")?,
                 }
             }
             "analyze" => Command::Analyze {
-                width: width_field(pairs, 32)?,
+                width: width_field(req, 32)?,
             },
             "transpose" => Command::Transpose {
-                kind: required_string(pairs, "kind")?,
-                scheme: required_string(pairs, "scheme")?,
-                width: width_field(pairs, 32)?,
-                latency: opt_u64(pairs, "latency")?.unwrap_or(8).max(1),
-                seed: opt_u64(pairs, "seed")?.unwrap_or(2014),
+                kind: required_string(req, "kind")?,
+                scheme: required_string(req, "scheme")?,
+                width: width_field(req, 32)?,
+                latency: opt_u64(req, "latency")?.unwrap_or(8).max(1),
+                seed: opt_u64(req, "seed")?.unwrap_or(2014),
             },
             "synthesize" => {
-                let workload = required_string(pairs, "workload")?;
+                let workload = required_string(req, "workload")?;
                 if workload.len() > MAX_WORKLOAD_SPEC {
                     return Err(format!(
                         "field 'workload' is {} bytes (max {MAX_WORKLOAD_SPEC})",
                         workload.len()
                     ));
                 }
-                let mode = opt_string(pairs, "mode")?.unwrap_or_else(|| "sigma".to_string());
+                let mode = opt_string(req, "mode")?.unwrap_or_else(|| "sigma".to_string());
                 if mode != "sigma" && mode != "table" {
                     return Err(format!(
                         "field 'mode' must be 'sigma' or 'table', got '{mode}'"
                     ));
                 }
-                let width = width_field(pairs, 8)?;
+                let width = width_field(req, 8)?;
                 if width > MAX_SYNTHESIZE_WIDTH {
                     return Err(format!(
                         "field 'width' must be 1..={MAX_SYNTHESIZE_WIDTH} for synthesize \
@@ -326,16 +317,16 @@ impl Request {
                     workload,
                     mode,
                     width,
-                    seed: opt_u64(pairs, "seed")?.unwrap_or(2014),
+                    seed: opt_u64(req, "seed")?.unwrap_or(2014),
                 }
             }
             "adapt_status" => Command::AdaptStatus,
             "adapt_force" => Command::AdaptForce {
-                target: required_string(pairs, "target")?,
-                steps: opt_u64(pairs, "steps")?,
+                target: required_string(req, "target")?,
+                steps: opt_u64(req, "steps")?,
             },
             "adapt_freeze" => Command::AdaptFreeze {
-                frozen: match lookup(pairs, "frozen") {
+                frozen: match req.get("frozen") {
                     None | Some(Value::Null) => true,
                     Some(Value::Bool(b)) => *b,
                     Some(_) => return Err("field 'frozen' must be a boolean".to_string()),

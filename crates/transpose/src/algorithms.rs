@@ -83,6 +83,20 @@ impl std::fmt::Display for TransposeKind {
     }
 }
 
+impl std::str::FromStr for TransposeKind {
+    type Err = String;
+
+    /// Parse an algorithm name, case-insensitively.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "crsw" => Ok(TransposeKind::Crsw),
+            "srcw" => Ok(TransposeKind::Srcw),
+            "drdw" => Ok(TransposeKind::Drdw),
+            other => Err(format!("unknown kind '{other}' (expected crsw|srcw|drdw)")),
+        }
+    }
+}
+
 /// Build the two-phase DMM program for `kind` on matrices laid out by
 /// `mapping` at `base_a` (source) and `base_b` (destination).
 ///

@@ -162,7 +162,7 @@ fn chaos_soak_passes_end_to_end() {
     let _l = locked();
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let report = rap_bench::experiments::serve_chaos::run_caught(2014, 96, 6);
+    let report = rap_bench::experiments::serve_chaos::run(2014, 96, 6);
     std::panic::set_hook(prev);
     for check in &report.checks {
         assert!(check.passed, "{}: {}", check.name, check.detail);
