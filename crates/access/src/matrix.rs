@@ -324,66 +324,20 @@ pub fn trial_congestions_fused<R: Rng + ?Sized>(
     mut sink: impl FnMut(u32),
 ) {
     assert!(w > 0, "matrix width must be positive");
-    let wu = w as u32;
     // One arm per pattern so each loop inlines `warp_congestion_fused`
     // with the pattern a compile-time constant.
-    match pattern {
-        MatrixPattern::Contiguous => {
-            for warp in 0..wu {
-                sink(warp_congestion_fused(
-                    MatrixPattern::Contiguous,
-                    w,
-                    warp,
-                    rng,
-                    scratch,
-                ));
+    macro_rules! per_pattern {
+        ($($p:ident),*) => {
+            match pattern {
+                $(MatrixPattern::$p => {
+                    for warp in 0..w as u32 {
+                        sink(warp_congestion_fused(MatrixPattern::$p, w, warp, rng, scratch));
+                    }
+                })*
             }
-        }
-        MatrixPattern::Stride => {
-            for warp in 0..wu {
-                sink(warp_congestion_fused(
-                    MatrixPattern::Stride,
-                    w,
-                    warp,
-                    rng,
-                    scratch,
-                ));
-            }
-        }
-        MatrixPattern::Diagonal => {
-            for warp in 0..wu {
-                sink(warp_congestion_fused(
-                    MatrixPattern::Diagonal,
-                    w,
-                    warp,
-                    rng,
-                    scratch,
-                ));
-            }
-        }
-        MatrixPattern::Random => {
-            for warp in 0..wu {
-                sink(warp_congestion_fused(
-                    MatrixPattern::Random,
-                    w,
-                    warp,
-                    rng,
-                    scratch,
-                ));
-            }
-        }
-        MatrixPattern::Broadcast => {
-            for warp in 0..wu {
-                sink(warp_congestion_fused(
-                    MatrixPattern::Broadcast,
-                    w,
-                    warp,
-                    rng,
-                    scratch,
-                ));
-            }
-        }
+        };
     }
+    per_pattern!(Contiguous, Stride, Diagonal, Random, Broadcast);
 }
 
 #[cfg(test)]
@@ -531,7 +485,7 @@ mod tests {
 
     /// The fused evaluator must be bit-identical to the unfused
     /// generate + map + count pipeline for every pattern, scheme, and
-    /// SWAR-range width — and must consume the random stream exactly the
+    /// bitmask-range width — and must consume the random stream exactly the
     /// same way (checked by comparing warp-by-warp with twin RNGs).
     #[test]
     fn fused_path_matches_unfused_pipeline() {

@@ -31,8 +31,9 @@ use crate::array4d::{self, Coord4, Pattern4d};
 use crate::cancel::{CancelToken, PartialStats};
 use crate::matrix::{self, Coord, MatrixPattern};
 use crate::scratch::AccessScratch;
+use rap_core::modern::build_mapping;
 use rap_core::multidim::{Mapping4d, Scheme4d};
-use rap_core::{RowShift, Scheme};
+use rap_core::{MatrixMapping, RowShift, Scheme};
 use rap_stats::{OnlineStats, SeedDomain};
 use rayon::prelude::*;
 
@@ -77,9 +78,10 @@ pub(crate) struct Array4dScratch {
 }
 
 /// Evaluate one block of matrix-congestion trials serially into a fresh
-/// accumulator. `child` must be the `domain.child("matrix")` stream; both
-/// the plain and the resilient engines call exactly this body, which is
-/// why a resumed run can be bit-identical to an uninterrupted one.
+/// accumulator. `child` must be the `domain.child("matrix")` stream; the
+/// plain, cancellable and resilient engines all run exactly this trial
+/// body, which is why a resumed run can be bit-identical to an
+/// uninterrupted one.
 pub(crate) fn matrix_block(
     scheme: Scheme,
     pattern: MatrixPattern,
@@ -93,12 +95,17 @@ pub(crate) fn matrix_block(
         w,
         child,
         block,
+        &CancelToken::never(),
         &mut MatrixScratch::default(),
     )
+    .expect("an unshared never-token cannot fire")
 }
 
 /// [`matrix_block`] with caller-owned scratch, so a worker thread reuses
-/// one set of buffers across every block it executes.
+/// one set of buffers across every block it executes, polling `token`
+/// before every trial. Returns `None` when cancelled mid-block: the
+/// partial accumulator is discarded so the surviving blocks stay
+/// bit-comparable to an uncancelled run.
 ///
 /// Per trial this composes the fresh mapping into the scratch lookup
 /// table and evaluates every warp through the fused single-table-read
@@ -113,10 +120,14 @@ pub(crate) fn matrix_block_in(
     w: usize,
     child: &SeedDomain,
     block: std::ops::Range<u64>,
+    token: &CancelToken,
     s: &mut MatrixScratch,
-) -> OnlineStats {
+) -> Option<OnlineStats> {
     let mut stats = OnlineStats::new();
     for trial in block {
+        if token.is_cancelled() {
+            return None;
+        }
         let mut rng = child.rng(trial);
         let mapping = RowShift::of_scheme(scheme, &mut rng, w);
         if s.access.compose(&mapping) {
@@ -134,34 +145,15 @@ pub(crate) fn matrix_block_in(
             }
         }
     }
-    stats
+    Some(stats)
 }
 
-/// Evaluate one block of 4-D array congestion trials serially (see
-/// [`matrix_block`]; `child` is the `domain.child("array4d")` stream).
+/// Evaluate one block of 4-D array congestion trials serially into a
+/// fresh accumulator (see [`matrix_block`]; `child` is the
+/// `domain.child("array4d")` stream). The 4-D mapping has no composed
+/// table, but the congestion kernel's buffers and the coordinate buffer
+/// in `s` are reused across blocks.
 pub(crate) fn array4d_block(
-    scheme: Scheme4d,
-    pattern: Pattern4d,
-    w: usize,
-    warps_per_trial: u32,
-    child: &SeedDomain,
-    block: std::ops::Range<u64>,
-) -> OnlineStats {
-    array4d_block_in(
-        scheme,
-        pattern,
-        w,
-        warps_per_trial,
-        child,
-        block,
-        &mut Array4dScratch::default(),
-    )
-}
-
-/// [`array4d_block`] with caller-owned scratch (see [`matrix_block_in`];
-/// the 4-D mapping has no composed table, but the congestion kernel's
-/// buffers and the coordinate buffer are still reused across blocks).
-pub(crate) fn array4d_block_in(
     scheme: Scheme4d,
     pattern: Pattern4d,
     w: usize,
@@ -195,22 +187,42 @@ pub(crate) fn array4d_block_in(
 /// `init` builds one scratch per worker thread (`map_init`); the scratch
 /// carries buffers only, never statistics, so reuse across blocks cannot
 /// perturb the result.
-fn parallel_trials<S, I, F>(trials: u64, init: I, run_block: F) -> OnlineStats
+///
+/// `token` is polled before every block (and `run_block` may poll it
+/// inside one, returning `None` when it fires). The blocks that completed
+/// are merged in block-index order into an explicitly marked
+/// [`PartialStats`]; a run whose token never fires is complete.
+fn parallel_trials<S, I, F>(trials: u64, token: &CancelToken, init: I, run_block: F) -> PartialStats
 where
     I: Fn() -> S + Sync,
-    F: Fn(&mut S, std::ops::Range<u64>) -> OnlineStats + Sync,
+    F: Fn(&mut S, std::ops::Range<u64>) -> Option<OnlineStats> + Sync,
 {
     assert!(trials > 0, "need at least one trial");
-    let blocks: Vec<std::ops::Range<u64>> = (0..trials)
-        .step_by(TRIALS_PER_BLOCK as usize)
-        .map(|start| start..trials.min(start + TRIALS_PER_BLOCK))
+    let total_blocks = blocks_for(trials);
+    let blocks: Vec<std::ops::Range<u64>> =
+        (0..total_blocks).map(|b| block_range(b, trials)).collect();
+    let per_block: Vec<Option<OnlineStats>> = blocks
+        .into_par_iter()
+        .map_init(init, |s, block| {
+            if token.is_cancelled() {
+                None
+            } else {
+                run_block(s, block)
+            }
+        })
         .collect();
-    let per_block: Vec<OnlineStats> = blocks.into_par_iter().map_init(init, run_block).collect();
-    let mut total = OnlineStats::new();
-    for block in &per_block {
-        total.merge(block);
+    let mut stats = OnlineStats::new();
+    let mut completed_blocks = 0;
+    for block in per_block.iter().flatten() {
+        stats.merge(block);
+        completed_blocks += 1;
     }
-    total
+    PartialStats {
+        stats,
+        completed_blocks,
+        total_blocks,
+        cancelled: completed_blocks < total_blocks,
+    }
 }
 
 /// Estimate the expected per-warp congestion of `pattern` under `scheme`
@@ -233,11 +245,7 @@ pub fn matrix_congestion(
     trials: u64,
     domain: &SeedDomain,
 ) -> OnlineStats {
-    assert!(trials > 0, "need at least one trial");
-    let child = domain.child("matrix");
-    parallel_trials(trials, MatrixScratch::default, |s, block| {
-        matrix_block_in(scheme, pattern, w, &child, block, s)
-    })
+    matrix_congestion_cancellable(scheme, pattern, w, trials, domain, &CancelToken::never()).stats
 }
 
 /// Evaluate exactly one fixed-size block of [`matrix_congestion`]'s
@@ -302,53 +310,26 @@ pub fn array4d_congestion(
         "need at least one sample"
     );
     let child = domain.child("array4d");
-    parallel_trials(trials, Array4dScratch::default, |s, block| {
-        array4d_block_in(scheme, pattern, w, warps_per_trial, &child, block, s)
-    })
+    let run = |s: &mut Array4dScratch, block| {
+        Some(array4d_block(
+            scheme,
+            pattern,
+            w,
+            warps_per_trial,
+            &child,
+            block,
+            s,
+        ))
+    };
+    parallel_trials(trials, &CancelToken::never(), Array4dScratch::default, run).stats
 }
 
-/// Like [`matrix_block`], but polling `token` before every trial; returns
-/// `None` when cancelled mid-block (the partial accumulator is discarded
-/// so the surviving blocks stay bit-comparable to the plain engine).
-fn matrix_block_cancellable(
-    scheme: Scheme,
-    pattern: MatrixPattern,
-    w: usize,
-    child: &SeedDomain,
-    block: std::ops::Range<u64>,
-    token: &CancelToken,
-    s: &mut MatrixScratch,
-) -> Option<OnlineStats> {
-    let mut stats = OnlineStats::new();
-    for trial in block {
-        if token.is_cancelled() {
-            return None;
-        }
-        let mut rng = child.rng(trial);
-        let mapping = RowShift::of_scheme(scheme, &mut rng, w);
-        if s.access.compose(&mapping) {
-            matrix::trial_congestions_fused(pattern, w, &mut rng, &mut s.access, |c| {
-                stats.push_u32(c);
-            });
-        } else {
-            for warp in 0..w as u32 {
-                matrix::generate_warp_into(pattern, w, warp, &mut rng, &mut s.warp_buf);
-                stats.push_u32(matrix::warp_congestion_with(
-                    &mapping,
-                    &s.warp_buf,
-                    &mut s.access,
-                ));
-            }
-        }
-    }
-    Some(stats)
-}
-
-/// Cancellable [`matrix_congestion`]: the same sample streams and block
-/// structure, polling `token` between trials inside every block loop.
+/// [`matrix_congestion`] under a cancellation token, polled between
+/// trials inside every block loop; `matrix_congestion` is this run with
+/// a token that never fires.
 ///
-/// A run whose token never fires returns `cancelled == false` and stats
-/// **bit-identical** to the plain estimator. A cancelled run merges the
+/// A run whose token never fires returns `cancelled == false` and the
+/// full estimate. A cancelled run merges the
 /// blocks that completed (in block-index order) into an explicitly
 /// marked [`PartialStats`] — the deadline path of `rap-serve` turns
 /// these into structured timeout responses instead of stalled sockets.
@@ -364,26 +345,50 @@ pub fn matrix_congestion_cancellable(
     domain: &SeedDomain,
     token: &CancelToken,
 ) -> PartialStats {
-    assert!(trials > 0, "need at least one trial");
     let child = domain.child("matrix");
-    let blocks: Vec<std::ops::Range<u64>> = (0..trials)
-        .step_by(TRIALS_PER_BLOCK as usize)
-        .map(|start| start..trials.min(start + TRIALS_PER_BLOCK))
-        .collect();
-    let total_blocks = blocks.len() as u64;
-    let per_block: Vec<Option<OnlineStats>> = blocks
-        .into_par_iter()
-        .map_init(MatrixScratch::default, |s, block| {
-            if token.is_cancelled() {
-                return None;
-            }
-            matrix_block_cancellable(scheme, pattern, w, &child, block, token, s)
-        })
-        .collect();
+    parallel_trials(trials, token, MatrixScratch::default, |s, block| {
+        matrix_block_in(scheme, pattern, w, &child, block, token, s)
+    })
+}
+
+/// Evaluate `pattern` under one fixed layout, polling `token` before
+/// every trial.
+///
+/// Trial `t` draws its pattern instance from `domain.rng(t)`. Only
+/// [`MatrixPattern::Random`] runs more than one trial: every other
+/// pattern is the same access each time, so one trial is exact. Each
+/// trial is one block of the returned [`PartialStats`], so a cancelled
+/// run reports the trials that completed.
+#[must_use]
+pub fn fixed_layout_congestion(
+    mapping: &dyn MatrixMapping,
+    pattern: MatrixPattern,
+    trials: u64,
+    domain: &SeedDomain,
+    token: &CancelToken,
+) -> PartialStats {
+    let w = mapping.width();
+    let total_blocks = if pattern == MatrixPattern::Random {
+        trials
+    } else {
+        1
+    };
+    let mut s = MatrixScratch::default();
     let mut stats = OnlineStats::new();
     let mut completed_blocks = 0;
-    for block in per_block.iter().flatten() {
-        stats.merge(block);
+    for trial in 0..total_blocks {
+        if token.is_cancelled() {
+            break;
+        }
+        let mut rng = domain.rng(trial);
+        for warp in 0..w as u32 {
+            matrix::generate_warp_into(pattern, w, warp, &mut rng, &mut s.warp_buf);
+            stats.push_u32(matrix::warp_congestion_with(
+                mapping,
+                &s.warp_buf,
+                &mut s.access,
+            ));
+        }
         completed_blocks += 1;
     }
     PartialStats {
@@ -391,6 +396,36 @@ pub fn matrix_congestion_cancellable(
         completed_blocks,
         total_blocks,
         cancelled: completed_blocks < total_blocks,
+    }
+}
+
+/// Expected per-warp congestion of `pattern` under any of the five
+/// schemes: the sampled row-shift schemes through
+/// [`matrix_congestion_cancellable`], the deterministic layouts (XOR
+/// swizzle, padding) through [`fixed_layout_congestion`] on the same
+/// `domain`.
+///
+/// # Panics
+/// Panics if `w == 0`, if `trials == 0` for a row-shift scheme, or if
+/// `scheme` is XOR and `w` is not a power of two.
+#[must_use]
+pub fn pattern_congestion(
+    scheme: Scheme,
+    pattern: MatrixPattern,
+    w: usize,
+    trials: u64,
+    domain: &SeedDomain,
+    token: &CancelToken,
+) -> PartialStats {
+    match scheme {
+        Scheme::Raw | Scheme::Ras | Scheme::Rap => {
+            matrix_congestion_cancellable(scheme, pattern, w, trials, domain, token)
+        }
+        Scheme::Xor | Scheme::Padded => {
+            // Deterministic layouts draw nothing from the rng.
+            let mapping = build_mapping(scheme, &mut domain.rng(0), w);
+            fixed_layout_congestion(mapping.as_ref(), pattern, trials, domain, token)
+        }
     }
 }
 
@@ -670,23 +705,6 @@ mod tests {
     }
 
     #[test]
-    fn uncancelled_cancellable_run_is_bit_identical_to_plain() {
-        let d = domain();
-        let token = CancelToken::never();
-        for (scheme, pattern, w, trials) in [
-            (Scheme::Ras, MatrixPattern::Random, 16, 100u64),
-            (Scheme::Rap, MatrixPattern::Diagonal, 8, 33),
-        ] {
-            let plain = matrix_congestion(scheme, pattern, w, trials, &d);
-            let run = matrix_congestion_cancellable(scheme, pattern, w, trials, &d, &token);
-            assert!(!run.cancelled, "{scheme} {pattern}");
-            assert!(!run.degraded());
-            assert_eq!(run.completed_blocks, run.total_blocks);
-            assert_eq!(run.stats.to_raw(), plain.to_raw(), "{scheme} {pattern}");
-        }
-    }
-
-    #[test]
     fn pre_cancelled_token_stops_before_any_block() {
         let d = domain();
         let token = CancelToken::never();
@@ -713,6 +731,88 @@ mod tests {
             matrix_congestion_cancellable(Scheme::Rap, MatrixPattern::Stride, 16, 640, &d, &token);
         assert!(run.cancelled, "an already-expired deadline must cancel");
         assert!(run.completed_blocks < run.total_blocks);
+    }
+
+    /// Serial reference for [`fixed_layout_congestion`]: one allocating
+    /// `generate` per trial, one accumulator, no cancellation.
+    fn fixed_layout_serial(
+        mapping: &dyn MatrixMapping,
+        pattern: MatrixPattern,
+        trials: u64,
+        domain: &SeedDomain,
+    ) -> OnlineStats {
+        let n_trials = if pattern == MatrixPattern::Random {
+            trials
+        } else {
+            1
+        };
+        let mut stats = OnlineStats::new();
+        for t in 0..n_trials {
+            let mut rng = domain.rng(t);
+            for warp in matrix::generate(pattern, mapping.width(), &mut rng) {
+                stats.push_u32(matrix::warp_congestion(mapping, &warp));
+            }
+        }
+        stats
+    }
+
+    #[test]
+    fn fixed_layout_matches_the_serial_loop_for_every_pattern() {
+        let (d, never) = (domain(), CancelToken::never());
+        let mut rng = d.rng(0);
+        let table = RowShift::ras_from(8, vec![3, 0, 5, 1, 7, 2, 6, 4]).expect("valid shifts");
+        let layouts = [
+            build_mapping(Scheme::Xor, &mut rng, 16),
+            build_mapping(Scheme::Padded, &mut rng, 12),
+            Box::new(table),
+        ];
+        let patterns = MatrixPattern::table2()
+            .into_iter()
+            .chain([MatrixPattern::Broadcast]);
+        for pattern in patterns {
+            for mapping in &layouts {
+                let run = fixed_layout_congestion(mapping.as_ref(), pattern, 40, &d, &never);
+                let serial = fixed_layout_serial(mapping.as_ref(), pattern, 40, &d);
+                assert!(!run.degraded(), "{pattern}");
+                assert_eq!(run.stats.to_raw(), serial.to_raw(), "{pattern}");
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_layout_pre_cancelled_completes_nothing() {
+        let token = CancelToken::never();
+        token.cancel();
+        let mapping = build_mapping(Scheme::Padded, &mut domain().rng(0), 16);
+        for pattern in [MatrixPattern::Stride, MatrixPattern::Random] {
+            let run = fixed_layout_congestion(mapping.as_ref(), pattern, 64, &domain(), &token);
+            assert!(run.cancelled, "{pattern}");
+            assert_eq!(run.completed_blocks, 0, "{pattern}");
+            assert_eq!(run.stats.count(), 0, "{pattern}");
+        }
+    }
+
+    /// The row-shift schemes are the engine bit for bit; the
+    /// deterministic layouts are the fixed-layout loop on the same domain.
+    #[test]
+    fn pattern_congestion_dispatches_every_scheme() {
+        let d = domain();
+        for scheme in Scheme::extended() {
+            for pattern in MatrixPattern::table2() {
+                let run = pattern_congestion(scheme, pattern, 16, 77, &d, &CancelToken::never());
+                let expected = match scheme {
+                    Scheme::Raw | Scheme::Ras | Scheme::Rap => {
+                        matrix_congestion(scheme, pattern, 16, 77, &d)
+                    }
+                    Scheme::Xor | Scheme::Padded => {
+                        let mapping = build_mapping(scheme, &mut d.rng(0), 16);
+                        fixed_layout_serial(mapping.as_ref(), pattern, 77, &d)
+                    }
+                };
+                assert!(!run.degraded(), "{scheme} {pattern}");
+                assert_eq!(run.stats.to_raw(), expected.to_raw(), "{scheme} {pattern}");
+            }
+        }
     }
 
     /// A single block (trials ≤ TRIALS_PER_BLOCK) merges into an empty

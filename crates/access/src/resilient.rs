@@ -19,7 +19,7 @@
 
 use crate::array4d::Pattern4d;
 use crate::matrix::MatrixPattern;
-use crate::montecarlo::{array4d_block, block_range, blocks_for, matrix_block};
+use crate::montecarlo::{array4d_block, block_range, blocks_for, matrix_block, Array4dScratch};
 use rap_core::multidim::Scheme4d;
 use rap_core::Scheme;
 use rap_resilience::{run_cell, CellRun, Ledger, RetryPolicy, RunBudget};
@@ -109,14 +109,9 @@ pub fn array4d_congestion_resilient(
         cfg.budget,
         &cfg.retry,
         |block| {
-            array4d_block(
-                scheme,
-                pattern,
-                w,
-                warps_per_trial,
-                &child,
-                block_range(block, trials),
-            )
+            let range = block_range(block, trials);
+            let s = &mut Array4dScratch::default();
+            array4d_block(scheme, pattern, w, warps_per_trial, &child, range, s)
         },
     )
 }

@@ -1,8 +1,8 @@
 //! Edge cases of the degraded-path bounds (`rap_analyze::degraded`):
 //! the zero-width guard across every pattern family, exactness (`lo ==
 //! hi`) of the envelopes the breaker-open serve path reports verbatim,
-//! and the SWAR boundary widths 63/64/65 where the bit-parallel
-//! congestion kernel switches word layouts underneath the prover.
+//! and the boundary widths 63/64/65 where the congestion kernel switches
+//! from per-bank bitmasks to the stack hash set underneath the prover.
 
 use rap_analyze::{fallback_bounds, AnalyzeError, FallbackPattern};
 use rap_core::Scheme;
@@ -83,7 +83,7 @@ fn swar_boundary_widths_bound_every_simulated_warp() {
                             u64::from(mapping.address(i, j))
                         })
                         .collect();
-                    let simulated = BankLoads::analyze_fast(w, &addrs).congestion();
+                    let simulated = BankLoads::analyze(w, &addrs).congestion();
                     assert!(
                         a.contains(simulated),
                         "{scheme} {pattern} w={w}: simulated {simulated} ∉ [{}, {}]",

@@ -15,8 +15,8 @@
 //!   *every* pattern because `σ` is secret.
 
 use rap_access::matrix::warp_congestion;
-use rap_access::montecarlo::matrix_congestion;
-use rap_access::MatrixPattern;
+use rap_access::montecarlo::{matrix_congestion, pattern_congestion};
+use rap_access::{CancelToken, MatrixPattern};
 use rap_core::modern::{blind_adversary, build_mapping};
 use rap_core::Scheme;
 use rap_stats::{CellSummary, ExperimentRecord, OnlineStats, SeedDomain};
@@ -33,53 +33,26 @@ pub struct ModernCell {
     pub stats: OnlineStats,
 }
 
-/// The full-pattern congestion of one scheme, via the montecarlo
-/// estimators for the row-shift schemes and direct evaluation for the
-/// deterministic ones (which need no averaging on fixed patterns).
-fn pattern_congestion(
-    scheme: Scheme,
-    pattern: MatrixPattern,
-    w: usize,
-    trials: u64,
-    domain: &SeedDomain,
-) -> OnlineStats {
-    match scheme {
-        Scheme::Raw | Scheme::Ras | Scheme::Rap => {
-            matrix_congestion(scheme, pattern, w, trials, domain)
-        }
-        Scheme::Xor | Scheme::Padded => {
-            // Deterministic layout; only the Random pattern needs trials.
-            let mut stats = OnlineStats::new();
-            let n_trials = if pattern == MatrixPattern::Random {
-                trials
-            } else {
-                1
-            };
-            for trial in 0..n_trials {
-                let mut rng = domain.child("modern").rng(trial);
-                let mapping = build_mapping(scheme, &mut rng, w);
-                for warp in rap_access::matrix::generate(pattern, w, &mut rng) {
-                    stats.push_u32(warp_congestion(mapping.as_ref(), &warp));
-                }
-            }
-            stats
-        }
-    }
-}
-
 /// Run the comparison at width `w`.
 #[must_use]
 pub fn run(w: usize, trials: u64, seed: u64) -> Vec<ModernCell> {
     let domain = SeedDomain::new(seed).child("a7");
     let mut cells = Vec::new();
 
-    // Congestion rows.
+    // Congestion rows. The deterministic layouts draw their pattern
+    // instances from the `modern` child stream.
+    let never = CancelToken::never();
     for pattern in MatrixPattern::table2() {
         for scheme in Scheme::extended() {
+            let stream = match scheme {
+                Scheme::Raw | Scheme::Ras | Scheme::Rap => domain,
+                Scheme::Xor | Scheme::Padded => domain.child("modern"),
+            };
+            let run = pattern_congestion(scheme, pattern, w, trials, &stream, &never);
             cells.push(ModernCell {
                 row: format!("{pattern} congestion"),
                 scheme,
-                stats: pattern_congestion(scheme, pattern, w, trials, &domain),
+                stats: run.stats,
             });
         }
     }

@@ -26,8 +26,8 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rap_access::montecarlo::matrix_congestion;
-use rap_access::MatrixPattern;
+use rap_access::montecarlo::{matrix_congestion, pattern_congestion};
+use rap_access::{CancelToken, MatrixPattern};
 use rap_analyze::{certify_theorem1, certify_theorem2, lint_plans, LintReport, TheoremReport};
 use rap_core::diagnostics::{render_bank_loads, render_layout};
 use rap_core::modern::build_mapping;
@@ -260,31 +260,19 @@ fn cmd_pattern(opts: &Opts) -> Result<String, String> {
     let width = checked_width(opts, 32)?;
     let trials = opts.u64("trials", 1000)?.max(1);
     let seed = opts.u64("seed", 2014)?;
-    let stats = match scheme {
-        Scheme::Raw | Scheme::Ras | Scheme::Rap => {
-            matrix_congestion(scheme, pattern, width, trials, &SeedDomain::new(seed))
-        }
-        // Deterministic layouts: evaluate the pattern directly.
-        Scheme::Xor | Scheme::Padded => {
-            if scheme == Scheme::Xor && !width.is_power_of_two() {
-                return Err("--scheme xor needs a power-of-two --width".into());
-            }
-            let mut stats = rap_stats::OnlineStats::new();
-            let n_trials = if pattern == MatrixPattern::Random {
-                trials
-            } else {
-                1
-            };
-            for t in 0..n_trials {
-                let mut rng = SeedDomain::new(seed).rng(t);
-                let mapping = build_mapping(scheme, &mut rng, width);
-                for warp in rap_access::matrix::generate(pattern, width, &mut rng) {
-                    stats.push_u32(rap_access::matrix::warp_congestion(mapping.as_ref(), &warp));
-                }
-            }
-            stats
-        }
-    };
+    if scheme == Scheme::Xor && !width.is_power_of_two() {
+        return Err("--scheme xor needs a power-of-two --width".into());
+    }
+    let domain = SeedDomain::new(seed);
+    let stats = pattern_congestion(
+        scheme,
+        pattern,
+        width,
+        trials,
+        &domain,
+        &CancelToken::never(),
+    )
+    .stats;
     Ok(format!(
         "{pattern} access under {scheme}, w={width}, {trials} trials:\n\
          expected congestion {:.4} (stderr {:.4}), range [{:.0}, {:.0}]\n",
@@ -1060,7 +1048,7 @@ mod tests {
         use serde::Value;
         let serve = |line: String| {
             let cmd = rap_serve::Request::parse(&line).unwrap().cmd;
-            match execute(&cmd, &rap_access::CancelToken::never(), None) {
+            match execute(&cmd, &CancelToken::never(), None) {
                 Outcome::Ok(data) => data,
                 other => panic!("{other:?}"),
             }

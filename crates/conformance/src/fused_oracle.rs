@@ -7,7 +7,7 @@
 //! [`BankLoads::analyze`] reference count.
 //!
 //! Each seed decodes one `(width, scheme, pattern)` instance with
-//! `width ≤ 64` (the fused path's domain, including the SWAR word
+//! `width ≤ 64` (the fused path's domain, including the bitmask
 //! boundaries 63 and 64), composes the lookup table once, and then walks
 //! **every** warp of one trial through both paths with identically seeded
 //! random streams. Any per-warp disagreement — value or random-stream

@@ -58,41 +58,6 @@ impl BankLoads {
         }
     }
 
-    /// [`BankLoads::analyze`] through the bit-parallel kernel: for
-    /// `width ≤ 64` and at most 64 lanes the per-bank loads are counted in
-    /// packed SWAR byte counters and expanded at the end, skipping the
-    /// sort entirely; everything else falls back to [`BankLoads::analyze`].
-    /// Results are bit-identical to `analyze` on every input — the unit
-    /// and conformance tests pin this.
-    ///
-    /// # Panics
-    /// Panics if `width == 0`.
-    #[must_use]
-    pub fn analyze_fast(width: usize, addresses: &[u64]) -> Self {
-        assert!(width > 0, "machine width must be positive");
-        if width > SWAR_BANKS || addresses.len() > SWAR_LANES {
-            return Self::analyze(width, addresses);
-        }
-        let mut swar = SwarCounters::new(width);
-        let mut uniq = [0u64; SWAR_LANES];
-        let mut n = 0usize;
-        'warp: for &a in addresses {
-            for &k in &uniq[..n] {
-                if k == a {
-                    continue 'warp;
-                }
-            }
-            uniq[n] = a;
-            n += 1;
-            swar.count(a);
-        }
-        Self {
-            width,
-            unique_requests: n,
-            loads: (0..width as u32).map(|b| swar.load(b)).collect(),
-        }
-    }
-
     /// The congestion: maximum unique-request count over banks (0 for an
     /// empty access).
     #[must_use]
@@ -140,98 +105,28 @@ impl BankLoads {
     }
 }
 
-/// Bank capacity of the bit-parallel fast path: 64 packed `u8` counters.
-const SWAR_BANKS: usize = 64;
+/// Bank and lane capacity of the bitmask path: one `u64` mask per bank,
+/// one bit per unique address.
+const COMPACT_BANKS: usize = 64;
 
-/// Lane capacity of the bit-parallel fast path. At most 64 unique
-/// addresses are counted, so every packed counter stays within `u8`.
-const SWAR_LANES: usize = 64;
-
-/// Packed per-bank unique-request counters: 8 `u8` counters per `u64`
-/// word, `[u64; 8]` covering the 64 banks of the SWAR fast path. An
-/// increment is one shifted add into the bank's byte; the running maximum
-/// re-extracts the just-incremented byte with the same shift, so the
-/// whole update is branch-free.
-#[derive(Debug, Clone)]
-struct SwarCounters {
-    cells: [u64; 8],
-    max: u64,
-    wd: u64,
-    /// Bank mask, valid only when `pow2`.
-    mask: u64,
-    pow2: bool,
-}
-
-impl SwarCounters {
-    #[inline]
-    fn new(width: usize) -> Self {
-        debug_assert!((1..=SWAR_BANKS).contains(&width));
-        let wd = width as u64;
-        Self {
-            cells: [0u64; 8],
-            max: 0,
-            wd,
-            mask: wd - 1,
-            pow2: wd.is_power_of_two(),
-        }
-    }
-
-    /// Bank of `a` — the power-of-two test is hoisted into `new` so every
-    /// width the paper evaluates replaces the `u64` division with an AND.
-    #[inline]
-    fn bank_of(&self, a: u64) -> u32 {
-        if self.pow2 {
-            (a & self.mask) as u32
-        } else {
-            (a % self.wd) as u32
-        }
-    }
-
-    /// Count one unique request to `bank`.
-    #[inline]
-    fn bump(&mut self, bank: u32) {
-        debug_assert!((bank as usize) < SWAR_BANKS);
-        let shift = (bank & 7) * 8;
-        let cell = &mut self.cells[(bank >> 3) as usize];
-        *cell += 1u64 << shift;
-        self.max = self.max.max((*cell >> shift) & 0xFF);
-    }
-
-    /// Count one unique request at address `a`.
-    #[inline]
-    fn count(&mut self, a: u64) {
-        self.bump(self.bank_of(a));
-    }
-
-    /// Unique-request count of `bank`.
-    #[inline]
-    fn load(&self, bank: u32) -> u32 {
-        ((self.cells[(bank >> 3) as usize] >> ((bank & 7) * 8)) & 0xFF) as u32
-    }
-
-    /// The running maximum over all banks.
-    #[inline]
-    fn max(&self) -> u32 {
-        self.max as u32
-    }
-}
-
-/// The bit-parallel congestion kernel for `width ≤ 64` and at most 64
-/// lanes.
+/// The congestion kernel for `width ≤ 64` and at most 64 lanes.
 ///
 /// CRCW merging is a branch-light linear scan over the unique addresses
 /// seen so far (keyed `u64` comparisons over a stack array — for warp
 /// sizes the comparison loop vectorizes and beats a hash probe chain's
-/// multiply + dependent load + branches), and per-bank counts live in
-/// packed SWAR byte counters ([`SwarCounters`]) instead of a 128-entry
-/// `u8` array with a `u128` occupancy bitmask. `O(n²)` comparisons in the
-/// worst case, but with `n ≤ 64` the constant is far below the branchy
-/// alternatives, there is no allocation, and the input is untouched.
+/// multiply + dependent load + branches). Each unique address becomes one
+/// [`CompactCongestion`] lane tagged by its first-occurrence index, so a
+/// bank's popcount is its unique-request count. `O(n²)` comparisons in
+/// the worst case, but with `n ≤ 64` the constant is far below the
+/// branchy alternatives, there is no allocation, and the input is
+/// untouched.
 #[inline]
-fn congestion_swar(width: usize, addresses: &[u64]) -> u32 {
-    debug_assert!(width <= SWAR_BANKS && addresses.len() <= SWAR_LANES);
-    let mut swar = SwarCounters::new(width);
-    let mut uniq = [0u64; SWAR_LANES];
+fn congestion_bitmask(width: usize, addresses: &[u64]) -> u32 {
+    debug_assert!(width <= COMPACT_BANKS && addresses.len() <= COMPACT_BANKS);
+    let wd = width as u64;
+    let pow2 = wd.is_power_of_two();
+    let mut cc = CompactCongestion::new(width);
+    let mut uniq = [0u64; COMPACT_BANKS];
     let mut n = 0usize;
     'warp: for &a in addresses {
         for &k in &uniq[..n] {
@@ -240,10 +135,11 @@ fn congestion_swar(width: usize, addresses: &[u64]) -> u32 {
             }
         }
         uniq[n] = a;
+        let bank = if pow2 { a & (wd - 1) } else { a % wd };
+        cc.lane(n as u32, bank as u32);
         n += 1;
-        swar.count(a);
     }
-    swar.max()
+    cc.finish()
 }
 
 /// Dedup + count in fixed stack buffers for the 65..=128 band, tracking
@@ -303,22 +199,6 @@ fn congestion_fixed<const TABLE: usize>(width: usize, addresses: &[u64]) -> u32 
     u32::from(max)
 }
 
-/// The allocation-free fast paths, wired in exactly once: the SWAR kernel
-/// for `width ≤ 64` with ≤ 64 lanes, the stack hash set for the 65..=128
-/// band, `None` when only a heap path can serve. Both the free
-/// [`congestion`] and [`CongestionScratch::congestion`] dispatch through
-/// here (previously each carried its own copy of the if-chain).
-#[inline]
-fn congestion_small(width: usize, addresses: &[u64]) -> Option<u32> {
-    if width <= SWAR_BANKS && addresses.len() <= SWAR_LANES {
-        Some(congestion_swar(width, addresses))
-    } else if width <= 128 && addresses.len() <= 128 {
-        Some(congestion_fixed::<256>(width, addresses))
-    } else {
-        None
-    }
-}
-
 /// Reusable scratch for the congestion kernel: a sort/dedup buffer plus
 /// per-bank unique-request counts.
 ///
@@ -326,8 +206,8 @@ fn congestion_small(width: usize, addresses: &[u64]) -> Option<u32> {
 /// Monte-Carlo sweep that is millions of allocations doing no useful work.
 /// Holding one `CongestionScratch` per worker amortizes the buffers to a
 /// single high-water-mark allocation, and warps with `width ≤ 128` bypass
-/// the heap entirely — `width ≤ 64` through the bit-parallel SWAR kernel,
-/// 65..=128 through a fixed stack hash set.
+/// the heap entirely — `width ≤ 64` through per-bank bitmasks, 65..=128
+/// through a fixed stack hash set.
 ///
 /// All paths compute the exact same metric as [`BankLoads::analyze`]
 /// (sort, CRCW-merge duplicates, max unique-per-bank count) — the unit,
@@ -347,15 +227,22 @@ impl CongestionScratch {
 
     /// Congestion of one warp access — identical to
     /// `BankLoads::analyze(width, addresses).congestion()` but without
-    /// per-call allocation.
+    /// per-call allocation. This is the one address-list dispatch: the
+    /// bitmask kernel for `width ≤ 64` with ≤ 64 lanes, the stack hash
+    /// set for the 65..=128 band, the reused heap buffers beyond.
     ///
     /// # Panics
     /// Panics if `width == 0`.
     #[must_use]
     pub fn congestion(&mut self, width: usize, addresses: &[u64]) -> u32 {
         assert!(width > 0, "machine width must be positive");
-        congestion_small(width, addresses)
-            .unwrap_or_else(|| self.congestion_general(width, addresses))
+        if width <= COMPACT_BANKS && addresses.len() <= COMPACT_BANKS {
+            congestion_bitmask(width, addresses)
+        } else if width <= 128 && addresses.len() <= 128 {
+            congestion_fixed::<256>(width, addresses)
+        } else {
+            self.congestion_general(width, addresses)
+        }
     }
 
     /// Heap-buffer path for wide machines or oversized address lists; the
@@ -393,7 +280,7 @@ impl CongestionScratch {
 /// reuse across warps — build one per warp with [`CompactCongestion::new`].
 #[derive(Debug, Clone)]
 pub struct CompactCongestion {
-    masks: [u64; SWAR_BANKS],
+    masks: [u64; COMPACT_BANKS],
     width: u32,
 }
 
@@ -407,11 +294,11 @@ impl CompactCongestion {
     pub fn new(width: usize) -> Self {
         assert!(width > 0, "machine width must be positive");
         assert!(
-            width <= SWAR_BANKS,
-            "compact path requires width ≤ {SWAR_BANKS}, got {width}"
+            width <= COMPACT_BANKS,
+            "compact path requires width ≤ {COMPACT_BANKS}, got {width}"
         );
         Self {
-            masks: [0; SWAR_BANKS],
+            masks: [0; COMPACT_BANKS],
             width: width as u32,
         }
     }
@@ -425,7 +312,7 @@ impl CompactCongestion {
     /// reading out of bounds.
     #[inline]
     pub fn lane(&mut self, tag: u32, bank: u32) {
-        debug_assert!(tag < SWAR_BANKS as u32, "tag {tag} out of range");
+        debug_assert!(tag < COMPACT_BANKS as u32, "tag {tag} out of range");
         debug_assert!(bank < self.width, "bank {bank} out of range");
         self.masks[(bank & 63) as usize] |= 1u64 << (tag & 63);
     }
@@ -442,19 +329,15 @@ impl CompactCongestion {
     }
 }
 
-/// Congestion of one warp access (stack/scratch-free convenience; takes
-/// the same fast paths as [`CongestionScratch::congestion`]).
+/// Congestion of one warp access through a fresh
+/// [`CongestionScratch`] (whose empty buffers allocate only on the heap
+/// path).
 ///
 /// # Panics
-/// Panics if `width == 0`. The check is hoisted above the path dispatch
-/// so every input size hits the same explicit contract — previously the
-/// 65..=128-address fast path would fall into an incidental
-/// division-by-zero instead.
+/// Panics if `width == 0`, on every path.
 #[must_use]
 pub fn congestion(width: usize, addresses: &[u64]) -> u32 {
-    assert!(width > 0, "machine width must be positive");
-    congestion_small(width, addresses)
-        .unwrap_or_else(|| BankLoads::analyze(width, addresses).congestion())
+    CongestionScratch::new().congestion(width, addresses)
 }
 
 /// Whether a warp access is conflict-free.
@@ -600,13 +483,13 @@ mod tests {
         }
     }
 
-    /// SWAR boundary widths: 63 (odd, last SWAR width minus one), 64 (the
-    /// last SWAR width, power of two), 65 (first width past the packed
-    /// counters). Every lane count around the 64-lane capacity is swept,
+    /// Bitmask boundary widths: 63 (odd, last bitmask width minus one),
+    /// 64 (the last bitmask width, power of two), 65 (first width past the
+    /// per-bank masks). Every lane count around the 64-lane capacity is swept,
     /// adversarial inputs included (all-same-bank, all-duplicates, and a
     /// max-density mix), against the allocating reference.
     #[test]
-    fn swar_boundaries_match_analyze() {
+    fn bitmask_boundaries_match_analyze() {
         let mut scratch = CongestionScratch::new();
         for width in [63usize, 64, 65] {
             for n in [0usize, 1, 62, 63, 64, 65, 66] {
@@ -642,48 +525,20 @@ mod tests {
         }
     }
 
-    /// A packed byte counter must hold the worst case: 64 unique
-    /// addresses all in one bank (count 64 < 256, no carry into the
-    /// neighbouring counter byte).
+    /// A bank's mask must hold the worst case: 64 unique addresses in one
+    /// bank use every tag bit, and the first-occurrence tags of one bank
+    /// never leak into its neighbour's mask.
     #[test]
-    fn swar_counter_never_carries_into_neighbour_bank() {
+    fn bitmask_path_holds_a_full_bank() {
         for width in [63usize, 64] {
             let w = width as u64;
-            // 64 unique addresses in bank 8 (cell 1, byte 0) and one in
-            // bank 9 (cell 1, byte 1): a carry from byte 0 would corrupt
-            // bank 9's count.
+            let full: Vec<u64> = (0..64).map(|i| 8 + i * w).collect();
+            assert_eq!(congestion(width, &full), 64, "width={width}");
             let mut addrs: Vec<u64> = (0..63).map(|i| 8 + i * w).collect();
             addrs.push(9);
-            let b = BankLoads::analyze_fast(width, &addrs);
-            assert_eq!(b.load(8), 63);
-            assert_eq!(b.load(9), 1);
-            assert_eq!(b.congestion(), 63);
+            assert_eq!(congestion(width, &addrs), 63, "width={width}");
+            assert_eq!(BankLoads::analyze(width, &addrs).load(9), 1);
         }
-    }
-
-    #[test]
-    fn analyze_fast_is_bit_identical_to_analyze() {
-        for width in [1usize, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129, 200] {
-            for n in [0usize, 1, 2, 63, 64, 65, 100] {
-                let addrs: Vec<u64> = (0..n)
-                    .map(|i| {
-                        let x = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
-                        x % (3 * width as u64 + 7)
-                    })
-                    .collect();
-                assert_eq!(
-                    BankLoads::analyze_fast(width, &addrs),
-                    BankLoads::analyze(width, &addrs),
-                    "width={width}, n={n}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "width must be positive")]
-    fn analyze_fast_zero_width_rejected() {
-        let _ = BankLoads::analyze_fast(0, &[1]);
     }
 
     /// The compact bitmask path must agree with the address-space kernels
@@ -771,43 +626,21 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "width must be positive")]
-    fn scratch_zero_width_rejected() {
-        let _ = CongestionScratch::new().congestion(0, &[1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "width must be positive")]
     fn bank_of_zero_width_rejected() {
         let _ = bank_of(0, 7);
     }
 
+    /// One hoisted check owns every path of the dispatch: empty,
+    /// bitmask, stack hash set and heap inputs all reject width 0 with
+    /// the same message.
     #[test]
-    #[should_panic(expected = "width must be positive")]
-    fn free_fn_zero_width_rejected_on_small_path() {
-        let _ = congestion(0, &[1]);
-    }
-
-    /// 65..=128 addresses used to dodge the explicit assert and die in
-    /// the u128 fast path's modulo instead; the hoisted check owns every
-    /// path now.
-    #[test]
-    #[should_panic(expected = "width must be positive")]
-    fn free_fn_zero_width_rejected_on_fixed128_path() {
-        let addrs: Vec<u64> = (0..100).collect();
-        let _ = congestion(0, &addrs);
-    }
-
-    #[test]
-    #[should_panic(expected = "width must be positive")]
-    fn free_fn_zero_width_rejected_on_general_path() {
-        let addrs: Vec<u64> = (0..200).collect();
-        let _ = congestion(0, &addrs);
-    }
-
-    #[test]
-    #[should_panic(expected = "width must be positive")]
-    fn free_fn_zero_width_rejected_even_when_empty() {
-        let _ = congestion(0, &[]);
+    fn zero_width_rejected_on_every_path() {
+        for n in [0u64, 1, 100, 200] {
+            let addrs: Vec<u64> = (0..n).collect();
+            let err = std::panic::catch_unwind(|| congestion(0, &addrs)).expect_err("must panic");
+            let msg = err.downcast_ref::<&str>().copied();
+            assert_eq!(msg, Some("machine width must be positive"), "n={n}");
+        }
     }
 
     #[test]

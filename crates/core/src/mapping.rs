@@ -301,7 +301,7 @@ pub struct ComposedRowShift {
 }
 
 impl ComposedRowShift {
-    /// Widest mapping the composed table serves — matched to the SWAR
+    /// Widest mapping the composed table serves — matched to the bitmask
     /// congestion kernel's 64-bank capacity so a rotated column always
     /// fits a byte and the compact-key dedup stays in range.
     pub const MAX_WIDTH: usize = 64;

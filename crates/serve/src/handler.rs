@@ -14,8 +14,10 @@
 //! discarding finished work.
 
 use crate::protocol::{object, Command};
-use rap_access::montecarlo::{blocks_for, matrix_block_stats, matrix_congestion_cancellable};
-use rap_access::{CancelToken, MatrixPattern};
+use rap_access::montecarlo::{
+    blocks_for, fixed_layout_congestion, matrix_block_stats, pattern_congestion,
+};
+use rap_access::{CancelToken, MatrixPattern, PartialStats};
 use rap_adapt::{AdaptiveController, CandidateKind, TrafficClass};
 use rap_analyze::{certify_theorem1, certify_theorem2, fallback_bounds, FallbackPattern};
 use rap_core::modern::build_mapping;
@@ -170,7 +172,7 @@ fn layout(scheme_str: &str, width: usize, seed: u64) -> Answer {
 }
 
 fn congestion(width: usize, addresses: &[u64]) -> Outcome {
-    let loads = BankLoads::analyze_fast(width, addresses);
+    let loads = BankLoads::analyze(width, addresses);
     Outcome::Ok(object(vec![
         ("width", Value::U64(width as u64)),
         ("congestion", Value::U64(u64::from(loads.congestion()))),
@@ -205,71 +207,44 @@ fn pattern_mc(
     let scheme: Scheme = scheme_str.parse()?;
     check_xor_width(scheme, width)?;
     let domain = SeedDomain::new(seed);
-    let partial = match scheme {
-        Scheme::Raw | Scheme::Ras | Scheme::Rap => {
-            matrix_congestion_cancellable(scheme, pattern, width, trials, &domain, token)
-        }
-        // Deterministic layouts have no shift table to sample; evaluate
-        // directly, still honouring the cancellation token per trial.
-        Scheme::Xor | Scheme::Padded => {
-            let n_trials = if pattern == MatrixPattern::Random {
-                trials
-            } else {
-                1
-            };
-            let mut stats = OnlineStats::new();
-            let mut done = 0u64;
-            for t in 0..n_trials {
-                if token.is_cancelled() {
-                    break;
-                }
-                let mut rng = domain.rng(t);
-                let mapping = build_mapping(scheme, &mut rng, width);
-                for warp in rap_access::matrix::generate(pattern, width, &mut rng) {
-                    stats.push_u32(rap_access::matrix::warp_congestion(mapping.as_ref(), &warp));
-                }
-                done += 1;
-            }
-            rap_access::PartialStats {
-                stats,
-                completed_blocks: done,
-                total_blocks: n_trials,
-                cancelled: done < n_trials,
-            }
-        }
-    };
+    let partial = pattern_congestion(scheme, pattern, width, trials, &domain, token);
+    let name = scheme.to_string();
+    Ok(mc_outcome(pattern_str, &name, width, trials, &partial))
+}
+
+/// A Monte-Carlo estimate's payload and outcome: full when every block
+/// ran, a degraded partial estimate when the deadline cut the run short,
+/// a timeout when no block completed. `scheme` is the name the layout is
+/// served under.
+fn mc_outcome(
+    pattern_str: &str,
+    scheme: &str,
+    width: usize,
+    trials: u64,
+    partial: &PartialStats,
+) -> Outcome {
+    let (done, total) = (partial.completed_blocks, partial.total_blocks);
+    if partial.cancelled && done == 0 {
+        return Outcome::TimedOut("deadline expired before any Monte-Carlo block completed".into());
+    }
     let data = object(vec![
         ("pattern", Value::String(pattern_str.to_ascii_lowercase())),
         ("scheme", Value::String(scheme.to_string())),
         ("width", Value::U64(width as u64)),
         ("trials_requested", Value::U64(trials)),
         ("stats", stats_value(&partial.stats)),
-        ("completed_blocks", Value::U64(partial.completed_blocks)),
-        ("total_blocks", Value::U64(partial.total_blocks)),
+        ("completed_blocks", Value::U64(done)),
+        ("total_blocks", Value::U64(total)),
         ("cancelled", Value::Bool(partial.cancelled)),
         ("source", Value::String("monte-carlo".into())),
     ]);
-    Ok(mc_outcome(
-        data,
-        partial.completed_blocks,
-        partial.total_blocks,
-        partial.cancelled,
-    ))
-}
-
-/// A Monte-Carlo payload's outcome: full when every block ran, a degraded
-/// partial estimate when the deadline cut the run short, a timeout when
-/// no block completed.
-fn mc_outcome(data: Value, done: u64, total: u64, cancelled: bool) -> Outcome {
-    if !cancelled {
-        Outcome::Ok(data)
-    } else if done == 0 {
-        Outcome::TimedOut("deadline expired before any Monte-Carlo block completed".into())
-    } else {
+    if partial.cancelled {
         Outcome::Degraded(
             data,
             format!("deadline expired after {done}/{total} blocks; partial estimate"),
         )
+    } else {
+        Outcome::Ok(data)
     }
 }
 
@@ -309,15 +284,19 @@ fn pattern_adaptive(
         CandidateKind::Scheme(scheme) => {
             pattern_mc(pattern_str, &scheme.to_string(), width, trials, seed, token)?
         }
-        CandidateKind::Table(layout) => pattern_table(
-            pattern_str,
-            &active.name,
-            layout,
-            width,
-            trials,
-            seed,
-            token,
-        )?,
+        // A synthesized shift table is a fixed layout; the payload's
+        // `scheme` field carries the candidate name (`synth:…`), the only
+        // name the layout has. The table was validated when the candidate
+        // was built, so a rejection here is an internal invariant
+        // violation, not a client error.
+        CandidateKind::Table(layout) => match RowShift::ras_from(width, layout.clone()) {
+            Ok(mapping) => {
+                let domain = SeedDomain::new(seed);
+                let partial = fixed_layout_congestion(&mapping, pattern, trials, &domain, token);
+                mc_outcome(pattern_str, &active.name, width, trials, &partial)
+            }
+            Err(e) => Outcome::Failed(format!("active synthesized table rejected: {e}")),
+        },
     };
     // Close the loop: the response's own mean congestion is the
     // observation. This may advance the epoch machine (and, under an
@@ -331,64 +310,6 @@ fn pattern_adaptive(
         }
     }
     Ok(outcome)
-}
-
-/// Evaluate a pattern family under a fixed synthesized shift table —
-/// the deterministic-scheme branch of `pattern_mc`, with the table
-/// standing in for the sampled layout. The payload's `scheme` field
-/// carries the candidate name (`synth:…`), the only name the layout has.
-#[allow(clippy::too_many_arguments)]
-fn pattern_table(
-    pattern_str: &str,
-    name: &str,
-    layout: &[u32],
-    width: usize,
-    trials: u64,
-    seed: u64,
-    token: &CancelToken,
-) -> Answer {
-    let pattern: MatrixPattern = pattern_str.parse()?;
-    // The table was validated when the candidate was built; a rejection
-    // here is an internal invariant violation, not a client error.
-    let mapping = match RowShift::ras_from(width, layout.to_vec()) {
-        Ok(m) => m,
-        Err(e) => {
-            return Ok(Outcome::Failed(format!(
-                "active synthesized table rejected: {e}"
-            )))
-        }
-    };
-    let domain = SeedDomain::new(seed);
-    let n_trials = if pattern == MatrixPattern::Random {
-        trials
-    } else {
-        1
-    };
-    let mut stats = OnlineStats::new();
-    let mut done = 0u64;
-    for t in 0..n_trials {
-        if token.is_cancelled() {
-            break;
-        }
-        let mut rng = domain.rng(t);
-        for warp in rap_access::matrix::generate(pattern, width, &mut rng) {
-            stats.push_u32(rap_access::matrix::warp_congestion(&mapping, &warp));
-        }
-        done += 1;
-    }
-    let cancelled = done < n_trials;
-    let data = object(vec![
-        ("pattern", Value::String(pattern_str.to_ascii_lowercase())),
-        ("scheme", Value::String(name.to_string())),
-        ("width", Value::U64(width as u64)),
-        ("trials_requested", Value::U64(trials)),
-        ("stats", stats_value(&stats)),
-        ("completed_blocks", Value::U64(done)),
-        ("total_blocks", Value::U64(n_trials)),
-        ("cancelled", Value::Bool(cancelled)),
-        ("source", Value::String("monte-carlo".into())),
-    ]);
-    Ok(mc_outcome(data, done, n_trials, cancelled))
 }
 
 fn traffic_class(pattern: MatrixPattern) -> TrafficClass {
@@ -634,10 +555,17 @@ mod tests {
         CancelToken::never()
     }
 
+    /// [`execute`] holding the read side of the crate's chaos lock, so no
+    /// other test's fail plan fires inside it.
+    fn exec(cmd: &Command, token: &CancelToken, adapt: Option<&AdaptiveController>) -> Outcome {
+        let _calm = crate::chaos_lock::handler();
+        execute(cmd, token, adapt)
+    }
+
     #[test]
     fn layout_renders_for_every_scheme() {
         for scheme in ["raw", "ras", "rap", "xor", "padded"] {
-            let out = execute(
+            let out = exec(
                 &Command::Layout {
                     scheme: scheme.into(),
                     width: 8,
@@ -660,7 +588,7 @@ mod tests {
 
     #[test]
     fn semantic_errors_are_bad_requests() {
-        let bad_scheme = execute(
+        let bad_scheme = exec(
             &Command::Layout {
                 scheme: "zzz".into(),
                 width: 8,
@@ -670,7 +598,7 @@ mod tests {
             None,
         );
         assert!(matches!(bad_scheme, Outcome::BadRequest(ref e) if e.contains("zzz")));
-        let xor_np2 = execute(
+        let xor_np2 = exec(
             &Command::Layout {
                 scheme: "xor".into(),
                 width: 12,
@@ -680,7 +608,7 @@ mod tests {
             None,
         );
         assert!(matches!(xor_np2, Outcome::BadRequest(ref e) if e.contains("power-of-two")));
-        let big_transpose = execute(
+        let big_transpose = exec(
             &Command::Transpose {
                 kind: "crsw".into(),
                 scheme: "rap".into(),
@@ -696,7 +624,7 @@ mod tests {
 
     #[test]
     fn congestion_counts_banks() {
-        let out = execute(
+        let out = exec(
             &Command::Congestion {
                 width: 4,
                 addresses: vec![0, 4, 8, 1],
@@ -715,7 +643,7 @@ mod tests {
 
     #[test]
     fn pattern_matches_the_plain_engine_when_uncancelled() {
-        let out = execute(
+        let out = exec(
             &Command::Pattern {
                 pattern: "stride".into(),
                 scheme: "rap".into(),
@@ -739,7 +667,7 @@ mod tests {
     #[test]
     fn pattern_expired_deadline_times_out_or_degrades() {
         let token = CancelToken::with_deadline(Instant::now());
-        let out = execute(
+        let out = exec(
             &Command::Pattern {
                 pattern: "random".into(),
                 scheme: "ras".into(),
@@ -761,7 +689,7 @@ mod tests {
 
     #[test]
     fn deterministic_schemes_answer_pattern_queries() {
-        let out = execute(
+        let out = exec(
             &Command::Pattern {
                 pattern: "stride".into(),
                 scheme: "padded".into(),
@@ -788,7 +716,7 @@ mod tests {
         let trials = 77; // 3 blocks, ragged tail
         let mut merged = OnlineStats::new();
         for block in 0..rap_access::montecarlo::blocks_for(trials) {
-            let out = execute(
+            let out = exec(
                 &Command::PatternBlock {
                     pattern: "random".into(),
                     scheme: "rap".into(),
@@ -841,7 +769,7 @@ mod tests {
             .child("random")
             .child("RAP")
             .child_idx(16);
-        let out = execute(
+        let out = exec(
             &Command::PatternBlock {
                 pattern: "random".into(),
                 scheme: "rap".into(),
@@ -878,7 +806,7 @@ mod tests {
 
     #[test]
     fn pattern_block_rejects_deterministic_schemes() {
-        let out = execute(
+        let out = exec(
             &Command::PatternBlock {
                 pattern: "stride".into(),
                 scheme: "padded".into(),
@@ -899,7 +827,7 @@ mod tests {
 
     #[test]
     fn analyze_certifies_both_theorems() {
-        let out = execute(&Command::Analyze { width: 8 }, &never(), None);
+        let out = exec(&Command::Analyze { width: 8 }, &never(), None);
         match out {
             Outcome::Ok(data) => assert_eq!(data.get("proven"), Some(&Value::Bool(true))),
             other => panic!("{other:?}"),
@@ -908,7 +836,7 @@ mod tests {
 
     #[test]
     fn transpose_reports_cycles_and_verifies() {
-        let out = execute(
+        let out = exec(
             &Command::Transpose {
                 kind: "crsw".into(),
                 scheme: "rap".into(),
@@ -930,7 +858,7 @@ mod tests {
 
     #[test]
     fn synthesize_returns_a_checked_certificate() {
-        let out = execute(
+        let out = exec(
             &Command::Synthesize {
                 workload: "column:0;contiguous:0".into(),
                 mode: "sigma".into(),
@@ -957,7 +885,7 @@ mod tests {
 
     #[test]
     fn synthesize_semantic_errors_are_bad_requests() {
-        let bad_mode = execute(
+        let bad_mode = exec(
             &Command::Synthesize {
                 workload: "column:0".into(),
                 mode: "zigzag".into(),
@@ -968,7 +896,7 @@ mod tests {
             None,
         );
         assert!(matches!(bad_mode, Outcome::BadRequest(ref e) if e.contains("zigzag")));
-        let bad_plan = execute(
+        let bad_plan = exec(
             &Command::Synthesize {
                 workload: "column:0;bogus:9".into(),
                 mode: "sigma".into(),
@@ -1002,9 +930,7 @@ mod tests {
     #[test]
     fn degraded_synthesize_ignores_handler_failpoints() {
         use rap_resilience::{FailPlan, Fault, HitSchedule};
-        let _l = CHAOS_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _plan = crate::chaos_lock::plan();
         let guard = rap_resilience::install(FailPlan::new(1).rule(
             "serve.handler",
             Fault::Panic,
@@ -1048,8 +974,8 @@ mod tests {
                 trials: 64,
                 seed: 7,
             };
-            let adaptive = execute(&cmd("adaptive"), &never(), Some(&ctl));
-            let static_run = execute(&cmd("rap"), &never(), None);
+            let adaptive = exec(&cmd("adaptive"), &never(), Some(&ctl));
+            let static_run = exec(&cmd("rap"), &never(), None);
             assert_eq!(adaptive, static_run, "{pattern}: payloads must match");
         }
         // The controller really observed the served traffic.
@@ -1067,10 +993,10 @@ mod tests {
             trials: 8,
             seed: 1,
         };
-        let out = execute(&cmd, &never(), None);
+        let out = exec(&cmd, &never(), None);
         assert!(matches!(out, Outcome::BadRequest(ref e) if e.contains("--adapt")));
         let ctl = controller(8, "rap");
-        let out = execute(&cmd, &never(), Some(&ctl));
+        let out = exec(&cmd, &never(), Some(&ctl));
         assert!(
             matches!(out, Outcome::BadRequest(ref e) if e.contains("tile width 8")),
             "{out:?}"
@@ -1080,7 +1006,7 @@ mod tests {
     #[test]
     fn adapt_force_runs_the_epoch_protocol() {
         let ctl = controller(16, "rap");
-        let out = execute(
+        let out = exec(
             &Command::AdaptForce {
                 target: "padded".into(),
                 steps: Some(0),
@@ -1097,7 +1023,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // After the commit, the adaptive path serves the new layout.
-        let adaptive = execute(
+        let adaptive = exec(
             &Command::Pattern {
                 pattern: "stride".into(),
                 scheme: "adaptive".into(),
@@ -1108,7 +1034,7 @@ mod tests {
             &never(),
             Some(&ctl),
         );
-        let fresh = execute(
+        let fresh = exec(
             &Command::Pattern {
                 pattern: "stride".into(),
                 scheme: "padded".into(),
@@ -1124,7 +1050,7 @@ mod tests {
             "post-commit responses track the new layout"
         );
         // Refusals are client errors, not infrastructure failures.
-        let out = execute(
+        let out = exec(
             &Command::AdaptForce {
                 target: "bogus".into(),
                 steps: None,
@@ -1133,7 +1059,7 @@ mod tests {
             Some(&ctl),
         );
         assert!(matches!(out, Outcome::BadRequest(ref e) if e.contains("unknown candidate")));
-        let out = execute(
+        let out = exec(
             &Command::AdaptForce {
                 target: "rap".into(),
                 steps: None,
@@ -1144,8 +1070,9 @@ mod tests {
         assert!(matches!(out, Outcome::BadRequest(ref e) if e.contains("--adapt")));
     }
 
-    #[test]
-    fn adaptive_serves_synthesized_tables_deterministically() {
+    /// A width-8 controller whose committed layout is a synthesized
+    /// shift table, and that table's candidate name.
+    fn synth_controller() -> (AdaptiveController, String) {
         let ctl = rap_adapt::AdaptiveController::new(rap_adapt::AdaptConfig {
             width: 8,
             initial: "raw".to_string(),
@@ -1161,7 +1088,7 @@ mod tests {
             .find(|(name, ..)| name.starts_with("synth:"))
             .map(|(name, ..)| name.clone())
             .expect("a synthesized candidate");
-        let out = execute(
+        let out = exec(
             &Command::AdaptForce {
                 target: synth.clone(),
                 steps: Some(0),
@@ -1170,8 +1097,14 @@ mod tests {
             Some(&ctl),
         );
         assert!(matches!(out, Outcome::Ok(_)), "{out:?}");
+        (ctl, synth)
+    }
+
+    #[test]
+    fn adaptive_serves_synthesized_tables_deterministically() {
+        let (ctl, synth) = synth_controller();
         let run = |seed: u64| {
-            execute(
+            exec(
                 &Command::Pattern {
                     pattern: "contiguous".into(),
                     scheme: "adaptive".into(),
@@ -1199,15 +1132,36 @@ mod tests {
         }
     }
 
-    /// The failpoint registry is process-global; serialize chaos tests.
-    static CHAOS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    /// A token that fired before the request ran: every fixed layout,
+    /// sampled (random) or single-trial (stride), completes nothing and
+    /// the request times out instead of answering an empty estimate.
+    #[test]
+    fn pre_cancelled_fixed_layouts_time_out() {
+        let token = CancelToken::never();
+        token.cancel();
+        let (ctl, _) = synth_controller();
+        for pattern in ["stride", "random"] {
+            let cmd = |scheme: &str| Command::Pattern {
+                pattern: pattern.into(),
+                scheme: scheme.into(),
+                width: 8,
+                trials: 16,
+                seed: 7,
+            };
+            for (scheme, adapt) in [("xor", None), ("padded", None), ("adaptive", Some(&ctl))] {
+                let out = exec(&cmd(scheme), &token, adapt);
+                assert!(
+                    matches!(out, Outcome::TimedOut(_)),
+                    "{pattern} under {scheme}: {out:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn handler_failpoint_injects_all_fault_kinds() {
         use rap_resilience::{FailPlan, Fault, HitSchedule};
-        let _l = CHAOS_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _plan = crate::chaos_lock::plan();
         let cmd = Command::Analyze { width: 8 };
 
         let guard = rap_resilience::install(FailPlan::new(1).rule(

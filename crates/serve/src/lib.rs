@@ -63,3 +63,24 @@ pub use metrics::{Metrics, MetricsSnapshot};
 pub use protocol::{Command, ErrorKind, Request, Response, WireError, MAX_WIDTH};
 pub use queue::{BoundedQueue, PushError};
 pub use server::{AdaptOptions, DrainReport, Server, ServerConfig, ServerHandle};
+
+/// The failpoint registry is process-global, so the unit tests of this
+/// crate share one lock: a test that installs a fail plan holds the
+/// write side, and every test that reaches the `serve.handler` site
+/// holds the read side, so no plan fires inside an unrelated test.
+#[cfg(test)]
+pub(crate) mod chaos_lock {
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static LOCK: RwLock<()> = RwLock::new(());
+
+    /// Exclusive access, for a test that installs a fail plan.
+    pub(crate) fn plan() -> RwLockWriteGuard<'static, ()> {
+        LOCK.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Shared access, for a test that reaches the handler.
+    pub(crate) fn handler() -> RwLockReadGuard<'static, ()> {
+        LOCK.read().unwrap_or_else(PoisonError::into_inner)
+    }
+}

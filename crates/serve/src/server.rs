@@ -333,9 +333,6 @@ mod tests {
     use rap_resilience::{FailPlan, Fault, HitSchedule};
     use serde::Value;
 
-    /// The failpoint registry is process-global; serialize chaos tests.
-    static CHAOS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
@@ -356,8 +353,19 @@ mod tests {
         handle.join()
     }
 
+    /// The payload value at `path` (nested object keys), if present.
+    fn field<'a>(resp: &'a Response, path: &[&str]) -> Option<&'a Value> {
+        path.iter()
+            .try_fold(resp.data.as_ref()?, |v, key| v.get(key))
+    }
+
+    fn text<'a>(resp: &'a Response, path: &[&str]) -> Option<&'a str> {
+        field(resp, path).and_then(Value::as_str)
+    }
+
     #[test]
     fn end_to_end_request_response() {
+        let _calm = crate::chaos_lock::handler();
         let (handle, mut client) = small_server(ServerConfig::default());
         let resp = client
             .roundtrip(r#"{"cmd":"congestion","id":1,"width":4,"addresses":[0,4,8,1]}"#)
@@ -374,6 +382,7 @@ mod tests {
 
     #[test]
     fn malformed_lines_get_contextual_400s() {
+        let _calm = crate::chaos_lock::handler();
         let (handle, mut client) = small_server(ServerConfig::default());
         let resp = client.roundtrip("this is not json").unwrap();
         assert_eq!(resp.error_kind(), Some("bad_request"));
@@ -391,20 +400,21 @@ mod tests {
 
     #[test]
     fn health_and_stats_answer_inline() {
+        let _calm = crate::chaos_lock::handler();
         let (handle, mut client) = small_server(ServerConfig::default());
         let health = client.roundtrip(r#"{"cmd":"health","id":9}"#).unwrap();
         assert!(health.ok);
-        let line = serde_json::to_string(&health.data.unwrap()).unwrap();
-        assert!(line.contains("\"status\":\"ok\""), "{line}");
-        assert!(line.contains("\"breaker\":\"closed\""), "{line}");
+        assert_eq!(text(&health, &["status"]), Some("ok"), "{health:?}");
+        assert_eq!(text(&health, &["breaker"]), Some("closed"), "{health:?}");
         let stats = client.roundtrip(r#"{"cmd":"stats"}"#).unwrap();
-        let line = serde_json::to_string(&stats.data.unwrap()).unwrap();
-        assert!(line.contains("\"conserves_responses\":true"), "{line}");
+        let conserves = field(&stats, &["conserves_responses"]).and_then(Value::as_bool);
+        assert_eq!(conserves, Some(true), "{stats:?}");
         shutdown(handle);
     }
 
     #[test]
     fn shed_responses_when_queue_is_full() {
+        let _calm = crate::chaos_lock::handler();
         // One worker, one queue slot: pipeline a burst without reading
         // and verify the overflow gets structured sheds, not silence.
         let (handle, mut client) = small_server(ServerConfig {
@@ -439,6 +449,7 @@ mod tests {
 
     #[test]
     fn deadlines_produce_timeouts_or_partial_results() {
+        let _calm = crate::chaos_lock::handler();
         let (handle, mut client) = small_server(ServerConfig::default());
         let resp = client
             .roundtrip(
@@ -459,9 +470,7 @@ mod tests {
 
     #[test]
     fn panics_are_isolated_retried_and_surfaced() {
-        let _l = CHAOS_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _plan = crate::chaos_lock::plan();
         // Panic on every hit, retries exhausted → structured 500; the
         // worker itself survives to serve the next request.
         let guard = rap_resilience::install(FailPlan::new(3).rule(
@@ -492,9 +501,7 @@ mod tests {
 
     #[test]
     fn breaker_opens_and_pattern_degrades_to_analyzer_bounds() {
-        let _l = CHAOS_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _plan = crate::chaos_lock::plan();
         let guard = rap_resilience::install(FailPlan::new(3).rule(
             "serve.handler",
             Fault::Panic,
@@ -564,9 +571,7 @@ mod tests {
 
     #[test]
     fn breaker_recovers_through_half_open() {
-        let _l = CHAOS_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _plan = crate::chaos_lock::plan();
         let guard = rap_resilience::install(FailPlan::new(3).rule(
             "serve.handler",
             Fault::Panic,
@@ -606,6 +611,7 @@ mod tests {
 
     #[test]
     fn adaptive_endpoints_answer_over_the_wire() {
+        let _calm = crate::chaos_lock::handler();
         let (handle, mut client) = small_server(ServerConfig {
             adapt: Some(crate::server::AdaptOptions {
                 config: rap_adapt::AdaptConfig {
@@ -623,19 +629,21 @@ mod tests {
             .roundtrip(r#"{"cmd":"adapt_status","id":1}"#)
             .unwrap();
         assert!(resp.ok, "{resp:?}");
-        let line = serde_json::to_string(&resp.data.unwrap()).unwrap();
-        assert!(line.contains("\"scheme\":\"rap\""), "{line}");
-        assert!(line.contains("\"phase\":\"stable\""), "{line}");
-        assert!(line.contains("\"frozen\":true"), "{line}");
+        assert_eq!(text(&resp, &["scheme"]), Some("rap"), "{resp:?}");
+        assert_eq!(text(&resp, &["phase"]), Some("stable"), "{resp:?}");
+        let frozen = field(&resp, &["frozen"]).and_then(Value::as_bool);
+        assert_eq!(frozen, Some(true), "{resp:?}");
         // Health carries the phase for the cluster coordinator.
         let health = client.roundtrip(r#"{"cmd":"health"}"#).unwrap();
-        let line = serde_json::to_string(&health.data.unwrap()).unwrap();
-        assert!(line.contains("\"adapt_phase\":\"stable\""), "{line}");
+        assert_eq!(
+            text(&health, &["adapt_phase"]),
+            Some("stable"),
+            "{health:?}"
+        );
         // Stats grows an adapt section.
         let stats = client.roundtrip(r#"{"cmd":"stats"}"#).unwrap();
-        let line = serde_json::to_string(&stats.data.unwrap()).unwrap();
-        assert!(line.contains("\"adapt\":{"), "{line}");
-        assert!(line.contains("\"swaps\":0"), "{line}");
+        let swaps = field(&stats, &["adapt", "swaps"]).and_then(Value::as_u64);
+        assert_eq!(swaps, Some(0), "{stats:?}");
         // The adaptive scheme serves the committed layout bit-identically.
         let adaptive = client
             .roundtrip(r#"{"cmd":"pattern","id":2,"pattern":"stride","scheme":"adaptive","width":16,"trials":32,"seed":9}"#)
@@ -651,9 +659,9 @@ mod tests {
             .unwrap();
         assert!(resp.ok, "{resp:?}");
         let resp = client.roundtrip(r#"{"cmd":"adapt_status"}"#).unwrap();
-        let line = serde_json::to_string(&resp.data.unwrap()).unwrap();
-        assert!(line.contains("\"scheme\":\"padded\""), "{line}");
-        assert!(line.contains("\"epoch\":1"), "{line}");
+        assert_eq!(text(&resp, &["scheme"]), Some("padded"), "{resp:?}");
+        let epoch = field(&resp, &["epoch"]).and_then(Value::as_u64);
+        assert_eq!(epoch, Some(1), "{resp:?}");
         // Freeze toggles and reports.
         let resp = client
             .roundtrip(r#"{"cmd":"adapt_freeze","frozen":false}"#)
@@ -666,6 +674,7 @@ mod tests {
 
     #[test]
     fn adapt_endpoints_without_controller_are_bad_requests() {
+        let _calm = crate::chaos_lock::handler();
         let (handle, mut client) = small_server(ServerConfig::default());
         for line in [
             r#"{"cmd":"adapt_status"}"#,
@@ -676,14 +685,15 @@ mod tests {
             assert_eq!(resp.error_kind(), Some("bad_request"), "{line}: {resp:?}");
         }
         let health = client.roundtrip(r#"{"cmd":"health"}"#).unwrap();
-        let line = serde_json::to_string(&health.data.unwrap()).unwrap();
-        assert!(line.contains("\"adapt_phase\":null"), "{line}");
+        let phase = field(&health, &["adapt_phase"]);
+        assert_eq!(phase, Some(&Value::Null), "{health:?}");
         let report = shutdown(handle);
         assert!(report.metrics.conserves_responses(), "{report:?}");
     }
 
     #[test]
     fn graceful_drain_answers_leftovers() {
+        let _calm = crate::chaos_lock::handler();
         let (handle, mut client) = small_server(ServerConfig {
             workers: 1,
             queue_capacity: 32,
@@ -720,6 +730,7 @@ mod tests {
 
     #[test]
     fn requests_after_shutdown_are_refused_structurally() {
+        let _calm = crate::chaos_lock::handler();
         let (handle, mut client) = small_server(ServerConfig::default());
         client.roundtrip(r#"{"cmd":"shutdown"}"#).unwrap();
         let resp = client

@@ -13,7 +13,8 @@
 //! Tests that install failpoint plans serialize on a local mutex: the
 //! registry is process-global.
 
-use rap_shmem::serve::{Client, Server, ServerConfig, ServerHandle};
+use rap_shmem::serve::{Client, Response, Server, ServerConfig, ServerHandle};
+use serde::Value;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static CHAOS_LOCK: Mutex<()> = Mutex::new(());
@@ -29,8 +30,10 @@ fn live_server() -> ServerHandle {
         .expect("spawn")
 }
 
-fn payload(response: &rap_shmem::serve::Response) -> String {
-    serde_json::to_string(response.data.as_ref().expect("response data")).expect("serialize")
+/// The payload value at `path` (nested object keys), if present.
+fn field<'a>(response: &'a Response, path: &[&str]) -> Option<&'a Value> {
+    path.iter()
+        .try_fold(response.data.as_ref()?, |v, key| v.get(key))
 }
 
 /// Every command family answers over the wire, and the numbers match the
@@ -47,7 +50,8 @@ fn every_hot_path_answers_over_tcp() {
         .expect("congestion");
     assert!(r.ok, "{r:?}");
     assert_eq!(r.id, Some(1));
-    assert!(payload(&r).contains("\"congestion\":8"), "{}", payload(&r));
+    let congestion = field(&r, &["congestion"]).and_then(Value::as_u64);
+    assert_eq!(congestion, Some(8), "{r:?}");
 
     // pattern: stride under RAP at w=16 is conflict-free → mean 1.
     let r = client
@@ -56,18 +60,23 @@ fn every_hot_path_answers_over_tcp() {
         )
         .expect("pattern");
     assert!(r.ok && !r.degraded, "{r:?}");
-    assert!(payload(&r).contains("\"mean\":1"), "{}", payload(&r));
+    let mean = field(&r, &["stats", "mean"]).and_then(Value::as_f64);
+    assert_eq!(mean, Some(1.0), "{r:?}");
 
     // analyze: Theorem 2 certification at w=8.
     let r = client
         .roundtrip(r#"{"cmd":"analyze","id":3,"width":8}"#)
         .expect("analyze");
     assert!(r.ok, "{r:?}");
-    let p = payload(&r);
-    assert!(
-        p.contains("\"theorem2\"") && p.contains("\"proven\":true"),
-        "{p}"
-    );
+    let theorems = field(&r, &["theorems"]).and_then(Value::as_array);
+    let theorem2 = theorems
+        .into_iter()
+        .flatten()
+        .find(|t| t.get("theorem").and_then(Value::as_str) == Some("theorem2"));
+    let proven = theorem2
+        .and_then(|t| t.get("proven"))
+        .and_then(Value::as_bool);
+    assert_eq!(proven, Some(true), "{r:?}");
 
     // layout + transpose answer and echo ids.
     for (id, line) in [
@@ -87,7 +96,8 @@ fn every_hot_path_answers_over_tcp() {
 
     // health reports the service green.
     let r = client.roundtrip(r#"{"cmd":"health"}"#).expect("health");
-    assert!(r.ok && payload(&r).contains("\"status\":\"ok\""), "{r:?}");
+    let status = field(&r, &["status"]).and_then(Value::as_str);
+    assert!(r.ok && status == Some("ok"), "{r:?}");
 
     handle.begin_shutdown();
     let report = handle.join();
