@@ -53,6 +53,20 @@ impl MatrixPattern {
             MatrixPattern::Broadcast => "Broadcast",
         }
     }
+
+    /// Lower-case spelling used on the wire, in traces and in adapt
+    /// status (`"stride"`); [`FromStr`](std::str::FromStr) accepts it
+    /// back for every Table II pattern.
+    #[must_use]
+    pub fn wire_name(self) -> &'static str {
+        match self {
+            MatrixPattern::Contiguous => "contiguous",
+            MatrixPattern::Stride => "stride",
+            MatrixPattern::Diagonal => "diagonal",
+            MatrixPattern::Random => "random",
+            MatrixPattern::Broadcast => "broadcast",
+        }
+    }
 }
 
 impl std::fmt::Display for MatrixPattern {
@@ -64,18 +78,19 @@ impl std::fmt::Display for MatrixPattern {
 impl std::str::FromStr for MatrixPattern {
     type Err = String;
 
-    /// Parse a Table II pattern name, case-insensitively. `broadcast` is
-    /// an internal CRCW test pattern and is not accepted from users.
+    /// Parse a Table II pattern name ([`MatrixPattern::wire_name`]),
+    /// case-insensitively. `broadcast` is an internal CRCW test pattern
+    /// and is not accepted from users.
     fn from_str(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "contiguous" => Ok(MatrixPattern::Contiguous),
-            "stride" => Ok(MatrixPattern::Stride),
-            "diagonal" => Ok(MatrixPattern::Diagonal),
-            "random" => Ok(MatrixPattern::Random),
-            other => Err(format!(
-                "unknown pattern '{other}' (expected contiguous|stride|diagonal|random)"
-            )),
-        }
+        MatrixPattern::table2()
+            .into_iter()
+            .find(|p| p.wire_name().eq_ignore_ascii_case(s))
+            .ok_or_else(|| {
+                format!(
+                    "unknown pattern '{}' (expected contiguous|stride|diagonal|random)",
+                    s.to_ascii_lowercase()
+                )
+            })
     }
 }
 
@@ -390,6 +405,20 @@ mod tests {
     fn contiguous_warps_are_rows() {
         let op = generate(MatrixPattern::Contiguous, 4, &mut rng());
         assert_eq!(op[2], vec![(2, 0), (2, 1), (2, 2), (2, 3)]);
+    }
+
+    #[test]
+    fn names_parse_back_case_insensitively() {
+        for p in MatrixPattern::table2() {
+            assert_eq!(p.name().parse(), Ok(p));
+        }
+        assert_eq!("STRIDE".parse(), Ok(MatrixPattern::Stride));
+        let err = "zigzag".parse::<MatrixPattern>().unwrap_err();
+        assert!(err.contains("unknown pattern 'zigzag'"), "{err}");
+        assert!(
+            "broadcast".parse::<MatrixPattern>().is_err(),
+            "internal only"
+        );
     }
 
     #[test]

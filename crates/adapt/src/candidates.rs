@@ -16,8 +16,9 @@
 //! Table semantics match `RowShift`: bank of cell `(i, j)` is
 //! `(j + layout[i]) mod w`.
 
-use crate::monitor::{TrafficClass, CLASSES};
-use rap_analyze::{fallback_bounds, FallbackPattern};
+use crate::monitor::{class_index, CLASSES};
+use rap_access::MatrixPattern;
+use rap_analyze::fallback_bounds;
 use rap_core::Scheme;
 
 /// What a candidate actually is, once active.
@@ -36,17 +37,19 @@ pub struct Candidate {
     pub name: String,
     /// The layout itself.
     pub kind: CandidateKind,
-    /// Certified worst-case congestion per [`TrafficClass`] (index order).
+    /// Certified worst-case congestion per class, in
+    /// [`MatrixPattern::table2`] order.
     pub bounds: [u32; CLASSES],
     /// Where the bounds came from: `"prover"` or `"synthesis"`.
     pub source: &'static str,
 }
 
 impl Candidate {
-    /// The certified worst-case bound for `class`.
+    /// The certified worst-case bound for `class`. A broadcast warp
+    /// reads one cell, so its bound is 1 under every layout.
     #[must_use]
-    pub fn bound(&self, class: TrafficClass) -> u32 {
-        self.bounds[class.index()]
+    pub fn bound(&self, class: MatrixPattern) -> u32 {
+        class_index(class).map_or(1, |i| self.bounds[i])
     }
 
     /// Build a candidate for a static scheme, bounds from the prover.
@@ -56,13 +59,14 @@ impl Candidate {
     /// width) as a message.
     pub fn of_scheme(scheme: Scheme, width: usize) -> Result<Self, String> {
         let mut bounds = [0u32; CLASSES];
-        for class in TrafficClass::ALL {
-            let analysis = fallback_bounds(scheme, class_pattern(class), width)
-                .map_err(|e| format!("prover rejected {scheme} at w={width}: {e}"))?;
-            bounds[class.index()] = analysis.hi;
+        for (bound, class) in bounds.iter_mut().zip(MatrixPattern::table2()) {
+            *bound = fallback_bounds(scheme, class, width)
+                .map_err(|e| format!("prover rejected {scheme} at w={width}: {e}"))?
+                .hi;
         }
         Ok(Self {
-            name: scheme_candidate_name(scheme).to_string(),
+            // Lower-case, matching the serve protocol's scheme spelling.
+            name: scheme.name().to_ascii_lowercase(),
             kind: CandidateKind::Scheme(scheme),
             bounds,
             source: "prover",
@@ -119,36 +123,12 @@ fn table_bounds(layout: &[u32], width: usize) -> [u32; CLASSES] {
     }
     let stride = stride_counts.iter().copied().max().unwrap_or(1);
     let diagonal = diag_counts.iter().copied().max().unwrap_or(1);
-    let mut bounds = [0u32; CLASSES];
-    bounds[TrafficClass::Contiguous.index()] = 1;
-    bounds[TrafficClass::Stride.index()] = stride;
-    bounds[TrafficClass::Diagonal.index()] = diagonal;
-    bounds[TrafficClass::Random.index()] = w;
-    bounds
-}
-
-/// The prover pattern matching a monitor class.
-#[must_use]
-pub fn class_pattern(class: TrafficClass) -> FallbackPattern {
-    match class {
-        TrafficClass::Contiguous => FallbackPattern::Contiguous,
-        TrafficClass::Stride => FallbackPattern::Stride,
-        TrafficClass::Diagonal => FallbackPattern::Diagonal,
-        TrafficClass::Random => FallbackPattern::Random,
-    }
-}
-
-/// Candidate name for a static scheme (lower-case, matches the serve
-/// protocol's scheme spelling).
-#[must_use]
-pub fn scheme_candidate_name(scheme: Scheme) -> &'static str {
-    match scheme {
-        Scheme::Raw => "raw",
-        Scheme::Ras => "ras",
-        Scheme::Rap => "rap",
-        Scheme::Xor => "xor",
-        Scheme::Padded => "padded",
-    }
+    MatrixPattern::table2().map(|class| match class {
+        MatrixPattern::Contiguous | MatrixPattern::Broadcast => 1,
+        MatrixPattern::Stride => stride,
+        MatrixPattern::Diagonal => diagonal,
+        MatrixPattern::Random => w,
+    })
 }
 
 /// The static-scheme candidate set at `width`: every scheme the prover
@@ -208,29 +188,29 @@ mod tests {
     #[test]
     fn raw_bounds_match_table_ii_worst_cases() {
         let raw = Candidate::of_scheme(Scheme::Raw, 16).unwrap();
-        assert_eq!(raw.bound(TrafficClass::Contiguous), 1);
+        assert_eq!(raw.bound(MatrixPattern::Contiguous), 1);
         assert_eq!(
-            raw.bound(TrafficClass::Stride),
+            raw.bound(MatrixPattern::Stride),
             16,
             "column access serializes"
         );
-        assert_eq!(raw.bound(TrafficClass::Random), 16);
+        assert_eq!(raw.bound(MatrixPattern::Random), 16);
     }
 
     #[test]
     fn identity_table_matches_raw_exactly() {
         let ident = Candidate::from_table("ident", vec![0; 8], 8).unwrap();
-        assert_eq!(ident.bound(TrafficClass::Contiguous), 1);
-        assert_eq!(ident.bound(TrafficClass::Stride), 8);
+        assert_eq!(ident.bound(MatrixPattern::Contiguous), 1);
+        assert_eq!(ident.bound(MatrixPattern::Stride), 8);
         // (i + 0) mod 8 is a permutation — diagonal is conflict-free.
-        assert_eq!(ident.bound(TrafficClass::Diagonal), 1);
-        assert_eq!(ident.bound(TrafficClass::Random), 8);
+        assert_eq!(ident.bound(MatrixPattern::Diagonal), 1);
+        assert_eq!(ident.bound(MatrixPattern::Random), 8);
     }
 
     #[test]
     fn permutation_table_is_conflict_free_on_stride() {
         let perm = Candidate::from_table("perm", vec![3, 1, 0, 2], 4).unwrap();
-        assert_eq!(perm.bound(TrafficClass::Stride), 1);
+        assert_eq!(perm.bound(MatrixPattern::Stride), 1);
     }
 
     #[test]
@@ -252,7 +232,7 @@ mod tests {
             assert_eq!(layout.len(), 8);
             // A column-only workload synthesizes a stride-conflict-free
             // table (a permutation exists and search finds objective 1).
-            assert_eq!(c.bound(TrafficClass::Stride), 1, "{}", c.name);
+            assert_eq!(c.bound(MatrixPattern::Stride), 1, "{}", c.name);
         }
     }
 }

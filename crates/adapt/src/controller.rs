@@ -27,13 +27,12 @@
 //! still the unresolved `Proposed`/`Migrating`, and resume appends the
 //! rollback itself — the same final state either way.
 
-use crate::candidates::{
-    find, standard_candidates, synthesized_candidates, Candidate, CandidateKind,
-};
+use crate::candidates::{find, standard_candidates, synthesized_candidates, Candidate};
 use crate::cost::CostModel;
 use crate::epoch::{replay, EpochMachine, EpochRecord, Phase};
 use crate::ledger::EpochLedger;
-use crate::monitor::{ClassWindow, CongestionMonitor, TrafficClass, CLASSES};
+use crate::monitor::{ClassWindow, CongestionMonitor, CLASSES};
+use rap_access::MatrixPattern;
 use rap_resilience::failpoint::{self, Fault};
 use rap_resilience::SyncPolicy;
 use serde::Value;
@@ -92,14 +91,10 @@ impl Default for AdaptConfig {
 /// *committed* candidate — never an in-flight target.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActiveLayout {
-    /// Candidate name.
-    pub name: String,
+    /// The committed candidate: name, layout and certified bounds.
+    pub candidate: Candidate,
     /// Committed epoch count.
     pub epoch: u64,
-    /// What to serve: a static scheme or a fixed table.
-    pub kind: CandidateKind,
-    /// Tile width.
-    pub width: usize,
 }
 
 /// A point-in-time status snapshot (see [`AdaptiveController::status`]).
@@ -128,7 +123,7 @@ pub struct AdaptStatus {
     /// Tile width.
     pub width: usize,
     /// Per-class window statistics with the active candidate's bound.
-    pub classes: Vec<(TrafficClass, ClassWindow, u32)>,
+    pub classes: Vec<(MatrixPattern, ClassWindow, u32)>,
     /// Candidate names with their per-class certified bounds.
     pub candidates: Vec<(String, &'static str, [u32; CLASSES])>,
     /// Records replayed at open (0 for a fresh controller).
@@ -146,7 +141,7 @@ impl AdaptStatus {
             .iter()
             .map(|(class, w, bound)| {
                 obj(vec![
-                    ("class", Value::String(class.name().to_string())),
+                    ("class", Value::String(class.wire_name().to_string())),
                     ("samples", Value::U64(w.samples)),
                     ("total", Value::U64(w.total)),
                     ("mean", Value::F64(w.mean)),
@@ -337,12 +332,9 @@ impl AdaptiveController {
     #[must_use]
     pub fn active(&self) -> ActiveLayout {
         let state = self.lock();
-        let active = state.machine.active();
         ActiveLayout {
-            name: active.name.clone(),
+            candidate: state.machine.active().clone(),
             epoch: state.machine.epoch(),
-            kind: active.kind.clone(),
-            width: self.config.width,
         }
     }
 
@@ -371,7 +363,7 @@ impl AdaptiveController {
     /// Injected panics at the `adapt.*` sites propagate to the caller
     /// (serve isolates the handler in `catch_unwind`) with both memory
     /// and ledger unchanged.
-    pub fn observe(&self, class: TrafficClass, congestion: f64) {
+    pub fn observe(&self, class: MatrixPattern, congestion: f64) {
         self.monitor.observe(class, congestion);
         let mut state = self.lock();
         self.tick(&mut state);
@@ -414,7 +406,7 @@ impl AdaptiveController {
     pub fn status(&self) -> AdaptStatus {
         let state = self.lock();
         let active = state.machine.active();
-        let classes = TrafficClass::ALL
+        let classes = MatrixPattern::table2()
             .into_iter()
             .map(|class| (class, self.monitor.window(class), active.bound(class)))
             .collect();
@@ -440,12 +432,6 @@ impl AdaptiveController {
             resumed_records: self.resumed_records,
             resumed_interrupted: self.resumed_interrupted,
         }
-    }
-
-    /// Exact window statistics for one class.
-    #[must_use]
-    pub fn window(&self, class: TrafficClass) -> ClassWindow {
-        self.monitor.window(class)
     }
 
     fn lock(&self) -> MutexGuard<'_, ControlState> {
@@ -495,7 +481,7 @@ impl AdaptiveController {
             state.observe_faults += 1;
             return;
         }
-        let windows = self.windows();
+        let windows = self.monitor.windows();
         let total: u64 = windows.iter().map(|w| w.samples).sum();
         if total < self.config.min_samples {
             return;
@@ -512,15 +498,6 @@ impl AdaptiveController {
             return;
         };
         let _ = self.start_swap(state, target, self.config.migrate_steps);
-    }
-
-    fn windows(&self) -> [ClassWindow; CLASSES] {
-        [
-            self.monitor.window(TrafficClass::Contiguous),
-            self.monitor.window(TrafficClass::Stride),
-            self.monitor.window(TrafficClass::Diagonal),
-            self.monitor.window(TrafficClass::Random),
-        ]
     }
 
     /// Propose `target` and push the epoch forward (through commit when
@@ -672,7 +649,7 @@ mod tests {
     /// Drive `n` stride observations at the given congestion.
     fn storm(ctl: &AdaptiveController, n: usize, congestion: f64) {
         for _ in 0..n {
-            ctl.observe(TrafficClass::Stride, congestion);
+            ctl.observe(MatrixPattern::Stride, congestion);
         }
     }
 
@@ -680,22 +657,14 @@ mod tests {
     fn stride_storm_triggers_swap_and_commit() {
         let _g = chaos_locked();
         let ctl = AdaptiveController::new(quick_config(16)).unwrap();
-        assert_eq!(ctl.active().name, "raw");
+        assert_eq!(ctl.active().candidate.name, "raw");
         storm(&ctl, 64, 16.0);
         let status = ctl.status();
         assert_eq!(status.phase, "stable");
         assert!(status.swaps >= 1, "{status:?}");
         assert_ne!(status.scheme, "raw");
         // The new scheme's certified stride bound beats raw's w.
-        let active = ctl.active();
-        let state_bound = ctl
-            .status()
-            .candidates
-            .iter()
-            .find(|(name, _, _)| *name == active.name)
-            .map(|(_, _, b)| b[TrafficClass::Stride.index()])
-            .unwrap();
-        assert!(state_bound < 16);
+        assert!(ctl.active().candidate.bound(MatrixPattern::Stride) < 16);
     }
 
     #[test]
@@ -729,7 +698,7 @@ mod tests {
         assert!(ctl.force("no-such", 0).is_err());
         assert!(ctl.force("raw", 0).is_err(), "already active");
         ctl.force("rap", 0).unwrap();
-        assert_eq!(ctl.active().name, "rap");
+        assert_eq!(ctl.active().candidate.name, "rap");
         assert_eq!(ctl.status().swaps, 1);
     }
 
@@ -740,16 +709,16 @@ mod tests {
         ctl.force("padded", 3).unwrap();
         assert_eq!(ctl.phase_name(), "migrating");
         assert_eq!(
-            ctl.active().name,
+            ctl.active().candidate.name,
             "raw",
             "old layout serves during migration"
         );
         assert!(ctl.force("rap", 0).is_err(), "swap already in flight");
         for _ in 0..3 {
-            ctl.observe(TrafficClass::Contiguous, 1.0);
+            ctl.observe(MatrixPattern::Contiguous, 1.0);
         }
         assert_eq!(ctl.phase_name(), "stable");
-        assert_eq!(ctl.active().name, "padded");
+        assert_eq!(ctl.active().candidate.name, "padded");
     }
 
     #[test]
@@ -766,7 +735,7 @@ mod tests {
         assert!(status.swap_faults >= 1);
         // Recovers once the fault clears.
         ctl.force("rap", 0).unwrap();
-        assert_eq!(ctl.active().name, "rap");
+        assert_eq!(ctl.active().candidate.name, "rap");
     }
 
     #[test]
@@ -826,9 +795,9 @@ mod tests {
         assert!(!synth.is_empty(), "synthesized candidates in the set");
         let name = synth[0].0.clone();
         ctl.force(&name, 0).unwrap();
-        let active = ctl.active();
+        let active = ctl.active().candidate;
         assert_eq!(active.name, name);
-        assert!(matches!(active.kind, CandidateKind::Table(_)));
+        assert!(matches!(active.kind, crate::CandidateKind::Table(_)));
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! is actually experiencing.
 
 use crate::candidates::Candidate;
-use crate::monitor::{ClassWindow, TrafficClass, CLASSES};
+use crate::monitor::{ClassWindow, CLASSES};
+use rap_access::MatrixPattern;
 
 /// Tunable knobs of the cost model. All fields are plain data so the
 /// CLI and serve config can construct it directly.
@@ -72,7 +73,7 @@ impl CostModel {
 
     /// Evaluate `candidate` against the observed per-class windows.
     ///
-    /// `windows` is indexed by [`TrafficClass::index`]. Classes with no
+    /// `windows` is in [`MatrixPattern::table2`] order. Classes with no
     /// samples contribute nothing to either side. A candidate's
     /// projected congestion on a class is `min(bound, observed_mean)` —
     /// the bound is a worst case, so if traffic is *already* below it,
@@ -87,8 +88,7 @@ impl CostModel {
         let mut total_samples = 0.0;
         let mut observed_sum = 0.0;
         let mut projected_sum = 0.0;
-        for class in TrafficClass::ALL {
-            let w = &windows[class.index()];
+        for (class, w) in MatrixPattern::table2().into_iter().zip(windows) {
             if w.samples == 0 {
                 continue;
             }
@@ -148,14 +148,9 @@ mod tests {
     fn windows_with_stride(mean: f64, samples: u64) -> [ClassWindow; CLASSES] {
         let m = CongestionMonitor::new(samples.max(1) as usize, 0.5);
         for _ in 0..samples {
-            m.observe(TrafficClass::Stride, mean);
+            m.observe(MatrixPattern::Stride, mean);
         }
-        [
-            m.window(TrafficClass::Contiguous),
-            m.window(TrafficClass::Stride),
-            m.window(TrafficClass::Diagonal),
-            m.window(TrafficClass::Random),
-        ]
+        m.windows()
     }
 
     #[test]

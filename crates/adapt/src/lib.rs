@@ -44,12 +44,11 @@ pub mod epoch;
 pub mod ledger;
 pub mod monitor;
 
-pub use candidates::{
-    find, scheme_candidate_name, standard_candidates, synthesized_candidates, Candidate,
-    CandidateKind,
-};
+pub use candidates::{find, standard_candidates, synthesized_candidates, Candidate, CandidateKind};
 pub use controller::{ActiveLayout, AdaptConfig, AdaptStatus, AdaptiveController};
 pub use cost::{CostModel, SwapVerdict};
 pub use epoch::{candidate_from_record, replay, EpochError, EpochMachine, EpochRecord, Phase};
 pub use ledger::EpochLedger;
-pub use monitor::{ClassWindow, CongestionMonitor, TrafficClass, CLASSES};
+pub use monitor::{ClassWindow, CongestionMonitor, CLASSES};
+/// The monitored traffic classes are the Table II pattern families.
+pub use rap_access::MatrixPattern as TrafficClass;

@@ -15,84 +15,29 @@
 //! bounds. Replayed single-threaded (the `rap adapt` trace mode), the
 //! monitor is exactly deterministic.
 
+use rap_access::MatrixPattern;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Traffic classes tracked by the monitor.
-///
-/// Mirrors `rap-analyze`'s `FallbackPattern` — the four Monte-Carlo
-/// pattern families — because those are exactly the classes the prover
-/// can certify bounds for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum TrafficClass {
-    /// Warp `r` reads row `r` contiguously.
-    Contiguous,
-    /// Warp `c` reads column `c` (the paper's stride access).
-    Stride,
-    /// Warp `d` reads the `d`-shifted diagonal.
-    Diagonal,
-    /// Fresh uniform coordinates per lane.
-    Random,
-}
-
-/// Number of traffic classes.
+/// Number of monitored traffic classes: the Table II pattern families
+/// of [`MatrixPattern::table2`], one window each.
 pub const CLASSES: usize = 4;
 
-impl TrafficClass {
-    /// All classes, in index order.
-    pub const ALL: [TrafficClass; CLASSES] = [
-        TrafficClass::Contiguous,
-        TrafficClass::Stride,
-        TrafficClass::Diagonal,
-        TrafficClass::Random,
-    ];
-
-    /// Dense index in `0..CLASSES`.
-    #[must_use]
-    pub const fn index(self) -> usize {
-        match self {
-            TrafficClass::Contiguous => 0,
-            TrafficClass::Stride => 1,
-            TrafficClass::Diagonal => 2,
-            TrafficClass::Random => 3,
-        }
-    }
-
-    /// Lower-case display name.
-    #[must_use]
-    pub const fn name(self) -> &'static str {
-        match self {
-            TrafficClass::Contiguous => "contiguous",
-            TrafficClass::Stride => "stride",
-            TrafficClass::Diagonal => "diagonal",
-            TrafficClass::Random => "random",
-        }
-    }
-
-    /// Parse a class name (case-insensitive).
-    ///
-    /// # Errors
-    /// Names the unknown class.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "contiguous" => Ok(TrafficClass::Contiguous),
-            "stride" => Ok(TrafficClass::Stride),
-            "diagonal" => Ok(TrafficClass::Diagonal),
-            "random" => Ok(TrafficClass::Random),
-            other => Err(format!(
-                "unknown traffic class '{other}' (expected contiguous|stride|diagonal|random)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for TrafficClass {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+/// Window index of `class`: its position in [`MatrixPattern::table2`].
+/// `None` for [`MatrixPattern::Broadcast`], which no parser produces and
+/// no window tracks.
+#[must_use]
+pub(crate) const fn class_index(class: MatrixPattern) -> Option<usize> {
+    match class {
+        MatrixPattern::Contiguous => Some(0),
+        MatrixPattern::Stride => Some(1),
+        MatrixPattern::Diagonal => Some(2),
+        MatrixPattern::Random => Some(3),
+        MatrixPattern::Broadcast => None,
     }
 }
 
 /// Exact statistics over one class's current window.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ClassWindow {
     /// Samples currently in the window (`min(total, window)`).
     pub samples: u64,
@@ -165,14 +110,16 @@ impl CongestionMonitor {
     }
 
     /// Record one congestion sample for `class`. Lock-free; allocates
-    /// nothing.
-    pub fn observe(&self, class: TrafficClass, congestion: f64) {
+    /// nothing. A `Broadcast` sample has no window and is dropped.
+    pub fn observe(&self, class: MatrixPattern, congestion: f64) {
         let sample = if congestion.is_finite() && congestion >= 0.0 {
             congestion
         } else {
             return; // refuse to poison the window with NaN/negative
         };
-        let ring = &self.rings[class.index()];
+        let Some(ring) = class_index(class).map(|i| &self.rings[i]) else {
+            return;
+        };
         let n = ring.total.fetch_add(1, Ordering::AcqRel);
         let slot = (n % self.window as u64) as usize;
         ring.slots[slot].store(sample.to_bits(), Ordering::Release);
@@ -198,10 +145,13 @@ impl CongestionMonitor {
         }
     }
 
-    /// Exact statistics over `class`'s current window (reader-pays scan).
+    /// Exact statistics over `class`'s current window (reader-pays scan);
+    /// empty for `Broadcast`.
     #[must_use]
-    pub fn window(&self, class: TrafficClass) -> ClassWindow {
-        let ring = &self.rings[class.index()];
+    pub fn window(&self, class: MatrixPattern) -> ClassWindow {
+        let Some(ring) = class_index(class).map(|i| &self.rings[i]) else {
+            return ClassWindow::default();
+        };
         let total = ring.total.load(Ordering::Acquire);
         let filled = (total.min(self.window as u64)) as usize;
         let mut sum = 0.0;
@@ -231,6 +181,12 @@ impl CongestionMonitor {
         }
     }
 
+    /// Every class's window, in [`MatrixPattern::table2`] order.
+    #[must_use]
+    pub fn windows(&self) -> [ClassWindow; CLASSES] {
+        MatrixPattern::table2().map(|class| self.window(class))
+    }
+
     /// Clear every class's window and EWMA — called after a committed
     /// swap so the new layout is judged on its own traffic.
     pub fn reset(&self) {
@@ -249,36 +205,38 @@ mod tests {
     use super::*;
 
     #[test]
-    fn class_index_round_trips() {
-        for class in TrafficClass::ALL {
-            assert_eq!(TrafficClass::ALL[class.index()], class);
-            assert_eq!(TrafficClass::parse(class.name()).unwrap(), class);
+    fn class_index_follows_table2_order() {
+        for (i, class) in MatrixPattern::table2().into_iter().enumerate() {
+            assert_eq!(class_index(class), Some(i));
         }
-        assert!(TrafficClass::parse("bogus").is_err());
+        assert_eq!(class_index(MatrixPattern::Broadcast), None);
     }
 
     #[test]
     fn window_tracks_exact_mean_and_max() {
         let m = CongestionMonitor::new(4, 0.5);
         for v in [1.0, 2.0, 3.0] {
-            m.observe(TrafficClass::Stride, v);
+            m.observe(MatrixPattern::Stride, v);
         }
-        let w = m.window(TrafficClass::Stride);
+        let w = m.window(MatrixPattern::Stride);
         assert_eq!(w.samples, 3);
         assert_eq!(w.total, 3);
         assert!((w.mean - 2.0).abs() < 1e-12);
         assert!((w.max - 3.0).abs() < 1e-12);
         // Other classes untouched.
-        assert_eq!(m.window(TrafficClass::Random).samples, 0);
+        assert_eq!(m.window(MatrixPattern::Random).samples, 0);
+        // Broadcast has no window: its samples are dropped.
+        m.observe(MatrixPattern::Broadcast, 1.0);
+        assert_eq!(m.window(MatrixPattern::Broadcast), ClassWindow::default());
     }
 
     #[test]
     fn ring_wraps_and_keeps_last_window_samples() {
         let m = CongestionMonitor::new(2, 0.5);
         for v in [10.0, 20.0, 30.0] {
-            m.observe(TrafficClass::Diagonal, v);
+            m.observe(MatrixPattern::Diagonal, v);
         }
-        let w = m.window(TrafficClass::Diagonal);
+        let w = m.window(MatrixPattern::Diagonal);
         assert_eq!(w.samples, 2);
         assert_eq!(w.total, 3);
         // Slots now hold {30, 20}.
@@ -289,27 +247,27 @@ mod tests {
     #[test]
     fn ewma_starts_at_first_sample_then_decays() {
         let m = CongestionMonitor::new(8, 0.5);
-        m.observe(TrafficClass::Contiguous, 4.0);
-        assert!((m.window(TrafficClass::Contiguous).ewma - 4.0).abs() < 1e-12);
-        m.observe(TrafficClass::Contiguous, 0.0);
-        assert!((m.window(TrafficClass::Contiguous).ewma - 2.0).abs() < 1e-12);
+        m.observe(MatrixPattern::Contiguous, 4.0);
+        assert!((m.window(MatrixPattern::Contiguous).ewma - 4.0).abs() < 1e-12);
+        m.observe(MatrixPattern::Contiguous, 0.0);
+        assert!((m.window(MatrixPattern::Contiguous).ewma - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn non_finite_and_negative_samples_are_dropped() {
         let m = CongestionMonitor::new(4, 0.5);
-        m.observe(TrafficClass::Random, f64::NAN);
-        m.observe(TrafficClass::Random, f64::INFINITY);
-        m.observe(TrafficClass::Random, -1.0);
-        assert_eq!(m.window(TrafficClass::Random).samples, 0);
+        m.observe(MatrixPattern::Random, f64::NAN);
+        m.observe(MatrixPattern::Random, f64::INFINITY);
+        m.observe(MatrixPattern::Random, -1.0);
+        assert_eq!(m.window(MatrixPattern::Random).samples, 0);
     }
 
     #[test]
     fn reset_clears_everything() {
         let m = CongestionMonitor::new(4, 0.5);
-        m.observe(TrafficClass::Stride, 5.0);
+        m.observe(MatrixPattern::Stride, 5.0);
         m.reset();
-        let w = m.window(TrafficClass::Stride);
+        let w = m.window(MatrixPattern::Stride);
         assert_eq!(w.samples, 0);
         assert_eq!(w.total, 0);
         assert!((w.ewma).abs() < 1e-12);

@@ -5,9 +5,9 @@
 //! lose the committed layout, and ledger round-trips are lossless.
 
 use proptest::prelude::*;
+use rap_access::MatrixPattern;
 use rap_adapt::{
-    replay, AdaptConfig, AdaptiveController, Candidate, CostModel, EpochMachine, EpochRecord,
-    Phase, TrafficClass,
+    replay, AdaptConfig, AdaptiveController, Candidate, CostModel, EpochMachine, EpochRecord, Phase,
 };
 use rap_resilience::{install, FailPlan, Fault, HitSchedule};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -166,7 +166,7 @@ proptest! {
                     let name = set[target_idx % set.len()].name.clone();
                     let _ = ctl_ref.force(&name, u64::from(op % 2));
                 } else {
-                    let class = TrafficClass::ALL[(*class_sel as usize) % 4];
+                    let class = MatrixPattern::table2()[(*class_sel as usize) % 4];
                     ctl_ref.observe(class, f64::from(WIDTH as u32));
                 }
             }));

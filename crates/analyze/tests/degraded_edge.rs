@@ -4,14 +4,16 @@
 //! and the boundary widths 63/64/65 where the congestion kernel switches
 //! from per-bank bitmasks to the stack hash set underneath the prover.
 
-use rap_analyze::{fallback_bounds, AnalyzeError, FallbackPattern};
+use rap_access::MatrixPattern;
+use rap_analyze::{fallback_bounds, AnalyzeError};
 use rap_core::Scheme;
 
-const PATTERNS: [FallbackPattern; 4] = [
-    FallbackPattern::Contiguous,
-    FallbackPattern::Stride,
-    FallbackPattern::Diagonal,
-    FallbackPattern::Random,
+const PATTERNS: [MatrixPattern; 5] = [
+    MatrixPattern::Contiguous,
+    MatrixPattern::Stride,
+    MatrixPattern::Diagonal,
+    MatrixPattern::Random,
+    MatrixPattern::Broadcast,
 ];
 
 #[test]
@@ -37,14 +39,14 @@ fn exact_envelopes_collapse_to_lo_eq_hi() {
     // degraded answer is as sharp as the full simulation's.
     for w in [8usize, 16, 63, 64, 65] {
         for scheme in [Scheme::Raw, Scheme::Ras, Scheme::Rap, Scheme::Padded] {
-            let a = fallback_bounds(scheme, FallbackPattern::Contiguous, w).unwrap();
+            let a = fallback_bounds(scheme, MatrixPattern::Contiguous, w).unwrap();
             assert!(a.exact(), "{scheme} contiguous w={w}: [{}, {}]", a.lo, a.hi);
             assert_eq!(a.hi, 1, "rows are conflict-free under every row shift");
         }
-        let raw = fallback_bounds(Scheme::Raw, FallbackPattern::Stride, w).unwrap();
+        let raw = fallback_bounds(Scheme::Raw, MatrixPattern::Stride, w).unwrap();
         assert!(raw.exact(), "RAW stride is deterministic");
         assert_eq!(raw.hi, w as u32, "RAW column fully serializes");
-        let rap = fallback_bounds(Scheme::Rap, FallbackPattern::Stride, w).unwrap();
+        let rap = fallback_bounds(Scheme::Rap, MatrixPattern::Stride, w).unwrap();
         assert!(rap.exact(), "Theorem 2 collapses the RAP column interval");
         assert_eq!(rap.hi, 1);
     }
@@ -57,31 +59,28 @@ fn swar_boundary_widths_bound_every_simulated_warp() {
     // concrete instantiation there.
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use rap_access::matrix::generate_warp_into;
     use rap_core::build_mapping;
     use rap_core::congestion::BankLoads;
 
     let mut rng = SmallRng::seed_from_u64(2014);
+    let mut cells = Vec::new();
     for w in [63usize, 64, 65] {
         for pattern in [
-            FallbackPattern::Contiguous,
-            FallbackPattern::Stride,
-            FallbackPattern::Diagonal,
+            MatrixPattern::Contiguous,
+            MatrixPattern::Stride,
+            MatrixPattern::Diagonal,
+            MatrixPattern::Broadcast,
         ] {
             for scheme in [Scheme::Raw, Scheme::Ras, Scheme::Rap, Scheme::Padded] {
                 let a = fallback_bounds(scheme, pattern, w).unwrap();
                 assert!(a.lo >= 1 && a.lo <= a.hi && a.hi <= w as u32, "{a:?}");
                 for _ in 0..8 {
                     let mapping = build_mapping(scheme, &mut rng, w);
-                    let addrs: Vec<u64> = (0..w as u32)
-                        .map(|t| {
-                            let (i, j) = match pattern {
-                                FallbackPattern::Contiguous => (0, t),
-                                FallbackPattern::Stride => (t, 0),
-                                FallbackPattern::Diagonal => (t, t),
-                                FallbackPattern::Random => unreachable!(),
-                            };
-                            u64::from(mapping.address(i, j))
-                        })
+                    generate_warp_into(pattern, w, 0, &mut rng, &mut cells);
+                    let addrs: Vec<u64> = cells
+                        .iter()
+                        .map(|&(i, j)| u64::from(mapping.address(i, j)))
                         .collect();
                     let simulated = BankLoads::analyze(w, &addrs).congestion();
                     assert!(
@@ -100,9 +99,9 @@ fn swar_boundary_widths_bound_every_simulated_warp() {
 fn xor_at_swar_boundaries_is_gated_not_crashed() {
     // 64 is a power of two, 63/65 are not: the prover must answer at 64
     // and return a contextual error (never panic) at its neighbours.
-    assert!(fallback_bounds(Scheme::Xor, FallbackPattern::Stride, 64).is_ok());
+    assert!(fallback_bounds(Scheme::Xor, MatrixPattern::Stride, 64).is_ok());
     for w in [63usize, 65] {
-        let err = fallback_bounds(Scheme::Xor, FallbackPattern::Stride, w).unwrap_err();
+        let err = fallback_bounds(Scheme::Xor, MatrixPattern::Stride, w).unwrap_err();
         assert!(
             err.to_string().contains("power of two") || err.to_string().contains("power-of-two"),
             "w={w}: {err}"

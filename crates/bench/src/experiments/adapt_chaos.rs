@@ -32,6 +32,7 @@
 //! child.
 
 use crate::soak::{connect, ensure, roundtrip, start_server, Check, Report, Suite};
+use rap_access::MatrixPattern;
 use rap_resilience::{install, FailPlan, Fault, HitSchedule};
 use rap_serve::{AdaptOptions, Client, ServerConfig, ServerHandle};
 use serde::{Serialize, Value};
@@ -478,9 +479,6 @@ fn epoch_fault_storm(cfg: &AdaptChaosConfig) -> Result<(String, u64, u64), Strin
     result
 }
 
-/// The probe set both sides of a byte-identity comparison answer.
-const PROBE_PATTERNS: &[&str] = &["contiguous", "stride", "diagonal", "random"];
-
 /// Every adaptive answer must re-serialize byte-identically to the
 /// static path on `scheme`, over the same connection.
 fn assert_adaptive_matches_static(
@@ -489,7 +487,11 @@ fn assert_adaptive_matches_static(
     width: usize,
     seed: u64,
 ) -> Result<(), String> {
-    for (i, pattern) in PROBE_PATTERNS.iter().enumerate() {
+    for (i, pattern) in MatrixPattern::table2()
+        .map(MatrixPattern::wire_name)
+        .iter()
+        .enumerate()
+    {
         let id = 9_000 + i as u64;
         let adaptive = roundtrip(
             client,
@@ -549,7 +551,7 @@ fn kill_mid_migration_resume(cfg: &AdaptChaosConfig) -> Result<(String, u64, u64
         resumed.resumed_interrupted
     );
     assert_adaptive_matches_static(&mut client, "raw", cfg.width, cfg.seed)?;
-    driven += 2 * PROBE_PATTERNS.len() as u64;
+    driven += 2 * MatrixPattern::table2().len() as u64;
     let rollback_records = resumed.resumed_records;
 
     // Commit a swap for real this time, then kill post-commit.
@@ -579,7 +581,7 @@ fn kill_mid_migration_resume(cfg: &AdaptChaosConfig) -> Result<(String, u64, u64
         "the final resume replayed no records; the ledger went missing"
     );
     assert_adaptive_matches_static(&mut client, "padded", cfg.width, cfg.seed)?;
-    driven += 2 * PROBE_PATTERNS.len() as u64;
+    driven += 2 * MatrixPattern::table2().len() as u64;
     conservation_holds(&mut client)?;
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);

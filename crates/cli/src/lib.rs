@@ -831,7 +831,7 @@ fn cmd_adapt(opts: &Opts) -> Result<String, String> {
                 log.push_str(&format!("freeze {}\n", if on { "on" } else { "off" }));
             }
             class => {
-                let class = rap_adapt::TrafficClass::parse(class).map_err(at)?;
+                let class: MatrixPattern = class.parse().map_err(at)?;
                 let value: f64 = parts
                     .next()
                     .ok_or_else(|| at("observation needs a congestion value".to_string()))?
@@ -877,7 +877,7 @@ fn cmd_adapt(opts: &Opts) -> Result<String, String> {
     for (class, w, bound) in &status.classes {
         out.push_str(&format!(
             "  {:<12} samples {:>4}  mean {:.3}  max {:.3}  ewma {:.3}  certified bound {}\n",
-            class.name(),
+            class.wire_name(),
             w.samples,
             w.mean,
             w.max,
@@ -966,7 +966,11 @@ fn cmd_synthesize(opts: &Opts) -> Result<String, String> {
     };
     let width = checked_width(opts, 8)?;
     let spec = opts.required("workload")?;
-    let mode = Mode::parse(opts.map.get("mode").map_or("sigma", String::as_str))?;
+    let mode: Mode = opts
+        .map
+        .get("mode")
+        .map_or("sigma", String::as_str)
+        .parse()?;
     let seed = opts.u64("seed", 2014)?;
     let workload = parse_workload(spec, width)?;
     let synth = synthesize(&workload, mode, seed)?;
@@ -1634,7 +1638,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("rap-cli-adapt-err-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let cases = [
-            ("bogus 3.0\n", "unknown traffic class"),
+            ("bogus 3.0\n", "unknown pattern 'bogus'"),
             ("stride\n", "needs a congestion value"),
             ("stride nan\n", "finite positive"),
             ("stride 2.0 extra\n", "trailing token"),

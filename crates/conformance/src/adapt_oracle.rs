@@ -22,7 +22,7 @@ use crate::oracle::{Divergence, Oracle};
 use crate::pattern::splitmix64;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rap_access::CancelToken;
+use rap_access::{CancelToken, MatrixPattern};
 use rap_adapt::{AdaptConfig, AdaptiveController};
 use rap_serve::handler::execute;
 use rap_serve::Command;
@@ -37,8 +37,6 @@ pub struct AdaptOracle;
 const CANDIDATES: &[&str] = &["raw", "ras", "rap", "xor", "padded"];
 
 const WIDTHS: &[usize] = &[4, 8, 16];
-
-const PATTERNS: &[&str] = &["contiguous", "stride", "diagonal", "random"];
 
 /// One decoded case: a controller configuration, a request sequence,
 /// and a forced swap target distinct from the initial scheme.
@@ -74,7 +72,9 @@ fn decode(seed: u64) -> Case {
     let n = rng.gen_range(2..=5usize);
     let requests = (0..n)
         .map(|_| Command::Pattern {
-            pattern: PATTERNS[rng.gen_range(0..PATTERNS.len())].to_string(),
+            pattern: MatrixPattern::table2()[rng.gen_range(0..4)]
+                .wire_name()
+                .to_string(),
             scheme: "adaptive".to_string(),
             width,
             trials: rng.gen_range(1..=24u64),
@@ -154,13 +154,13 @@ impl Oracle for AdaptOracle {
         ctl.force(case.target, 0)
             .expect("forcing a known static candidate with no faults installed");
         let active = ctl.active();
-        if active.name != case.target || active.epoch != 1 {
+        if active.candidate.name != case.target || active.epoch != 1 {
             return Err(Divergence::new(
                 self.name(),
                 seed,
                 described,
                 format!("committed '{}' at epoch 1", case.target),
-                format!("'{}' at epoch {}", active.name, active.epoch),
+                format!("'{}' at epoch {}", active.candidate.name, active.epoch),
             ));
         }
         for (i, cmd) in case.requests.iter().enumerate() {

@@ -18,12 +18,13 @@ use rap_access::montecarlo::{
     blocks_for, fixed_layout_congestion, matrix_block_stats, pattern_congestion,
 };
 use rap_access::{CancelToken, MatrixPattern, PartialStats};
-use rap_adapt::{AdaptiveController, CandidateKind, TrafficClass};
-use rap_analyze::{certify_theorem1, certify_theorem2, fallback_bounds, FallbackPattern};
+use rap_adapt::{AdaptiveController, CandidateKind};
+use rap_analyze::{certify_theorem1, certify_theorem2, fallback_bounds};
 use rap_core::modern::build_mapping;
 use rap_core::{diagnostics::render_layout, BankLoads, RowShift, Scheme};
 use rap_resilience::failpoint;
 use rap_stats::{OnlineStats, SeedDomain};
+use rap_synthesize::Mode;
 use rap_transpose::{run_transpose, TransposeKind};
 use serde::{Serialize, Value};
 
@@ -143,7 +144,7 @@ pub fn execute(cmd: &Command, token: &CancelToken, adapt: Option<&AdaptiveContro
             mode,
             width,
             seed,
-        } => synthesize_layout(workload, mode, *width, *seed),
+        } => synthesize_layout(workload, *mode, *width, *seed),
         Command::AdaptForce { target, steps } => Ok(adapt_force(adapt, target, *steps)),
         // Inline commands never reach the worker pool.
         Command::AdaptStatus
@@ -208,8 +209,7 @@ fn pattern_mc(
     check_xor_width(scheme, width)?;
     let domain = SeedDomain::new(seed);
     let partial = pattern_congestion(scheme, pattern, width, trials, &domain, token);
-    let name = scheme.to_string();
-    Ok(mc_outcome(pattern_str, &name, width, trials, &partial))
+    Ok(mc_outcome(pattern, scheme.name(), width, trials, &partial))
 }
 
 /// A Monte-Carlo estimate's payload and outcome: full when every block
@@ -217,7 +217,7 @@ fn pattern_mc(
 /// a timeout when no block completed. `scheme` is the name the layout is
 /// served under.
 fn mc_outcome(
-    pattern_str: &str,
+    pattern: MatrixPattern,
     scheme: &str,
     width: usize,
     trials: u64,
@@ -228,7 +228,7 @@ fn mc_outcome(
         return Outcome::TimedOut("deadline expired before any Monte-Carlo block completed".into());
     }
     let data = object(vec![
-        ("pattern", Value::String(pattern_str.to_ascii_lowercase())),
+        ("pattern", Value::String(pattern.wire_name().into())),
         ("scheme", Value::String(scheme.to_string())),
         ("width", Value::U64(width as u64)),
         ("trials_requested", Value::U64(trials)),
@@ -263,21 +263,8 @@ fn pattern_adaptive(
     token: &CancelToken,
     adapt: Option<&AdaptiveController>,
 ) -> Answer {
-    let Some(ctl) = adapt else {
-        return Err(
-            "scheme 'adaptive' needs adaptive remapping enabled on this server \
-             (start with --adapt)"
-                .to_string(),
-        );
-    };
-    let pattern: MatrixPattern = pattern_str.parse()?;
-    if width != ctl.width() {
-        return Err(format!(
-            "scheme 'adaptive' serves the controller's tile width {}, got {width}",
-            ctl.width()
-        ));
-    }
-    let active = ctl.active();
+    let (ctl, pattern) = adaptive_target(adapt, pattern_str, width)?;
+    let active = ctl.active().candidate;
     let outcome = match &active.kind {
         // The canonical scheme name round-trips through `Scheme::from_str`,
         // so the delegated payload is the one a static request produces.
@@ -293,7 +280,7 @@ fn pattern_adaptive(
             Ok(mapping) => {
                 let domain = SeedDomain::new(seed);
                 let partial = fixed_layout_congestion(&mapping, pattern, trials, &domain, token);
-                mc_outcome(pattern_str, &active.name, width, trials, &partial)
+                mc_outcome(pattern, &active.name, width, trials, &partial)
             }
             Err(e) => Outcome::Failed(format!("active synthesized table rejected: {e}")),
         },
@@ -306,21 +293,36 @@ fn pattern_adaptive(
     if let Outcome::Ok(data) | Outcome::Degraded(data, _) = &outcome {
         let mean = data.get("stats").and_then(|s| s.get("mean"));
         if let Some(mean) = mean.and_then(Value::as_f64).filter(|m| m.is_finite()) {
-            ctl.observe(traffic_class(pattern), mean);
+            ctl.observe(pattern, mean);
         }
     }
     Ok(outcome)
 }
 
-fn traffic_class(pattern: MatrixPattern) -> TrafficClass {
-    match pattern {
-        MatrixPattern::Contiguous => TrafficClass::Contiguous,
-        MatrixPattern::Stride => TrafficClass::Stride,
-        MatrixPattern::Diagonal => TrafficClass::Diagonal,
-        // The wire grammar has no broadcast pattern; bucket it under the
-        // trivial-envelope class if one ever reaches here.
-        MatrixPattern::Random | MatrixPattern::Broadcast => TrafficClass::Random,
+/// The controller and parsed pattern a `scheme:"adaptive"` request is
+/// served from, or the `bad_request` message: no controller on this
+/// server, an unknown pattern, or a width other than the controller's
+/// tile width.
+fn adaptive_target<'a>(
+    adapt: Option<&'a AdaptiveController>,
+    pattern_str: &str,
+    width: usize,
+) -> Result<(&'a AdaptiveController, MatrixPattern), String> {
+    let Some(ctl) = adapt else {
+        return Err(
+            "scheme 'adaptive' needs adaptive remapping enabled on this server \
+             (start with --adapt)"
+                .to_string(),
+        );
+    };
+    let pattern: MatrixPattern = pattern_str.parse()?;
+    if width != ctl.width() {
+        return Err(format!(
+            "scheme 'adaptive' serves the controller's tile width {}, got {width}",
+            ctl.width()
+        ));
     }
+    Ok((ctl, pattern))
 }
 
 /// Run a forced epoch swap through the controller: the full protocol —
@@ -341,7 +343,7 @@ fn adapt_force(adapt: Option<&AdaptiveController>, target: &str, steps: Option<u
                 ("target", Value::String(target.to_string())),
                 ("steps", Value::U64(steps)),
                 ("phase", Value::String(ctl.phase_name().to_string())),
-                ("scheme", Value::String(active.name)),
+                ("scheme", Value::String(active.candidate.name)),
                 ("epoch", Value::U64(active.epoch)),
             ]))
         }
@@ -385,7 +387,7 @@ fn pattern_block(
     let domain = domain_state.map_or_else(|| SeedDomain::new(seed), SeedDomain::from_state);
     let stats = matrix_block_stats(scheme, pattern, width, trials, block, &domain);
     Ok(Outcome::Ok(object(vec![
-        ("pattern", Value::String(pattern_str.to_ascii_lowercase())),
+        ("pattern", Value::String(pattern.wire_name().into())),
         ("scheme", Value::String(scheme.to_string())),
         ("width", Value::U64(width as u64)),
         ("trials", Value::U64(trials)),
@@ -433,8 +435,7 @@ fn transpose(kind_str: &str, scheme_str: &str, width: usize, latency: u64, seed:
     ])))
 }
 
-fn synthesize_layout(workload_str: &str, mode_str: &str, width: usize, seed: u64) -> Answer {
-    let mode = rap_synthesize::Mode::parse(mode_str)?;
+fn synthesize_layout(workload_str: &str, mode: Mode, width: usize, seed: u64) -> Answer {
     let workload = rap_synthesize::parse_workload(workload_str, width)?;
     let synthesis = rap_synthesize::synthesize(&workload, mode, seed)?;
     // Every certificate the service emits is gated by the independent
@@ -519,29 +520,56 @@ pub fn degraded_synthesize(workload_str: &str, width: usize) -> Result<Value, St
 
 /// The analyzer-backed degraded path for `pattern` requests: a certified
 /// `[lo, hi]` congestion envelope in place of the Monte-Carlo estimate.
+/// For `scheme:"adaptive"` the envelope is the active candidate's: its
+/// name, its certified bound as `hi`, and the prover's `lo` for a static
+/// scheme (1 for a synthesized table).
 ///
 /// Runs **outside** the failpoint-instrumented handler path on purpose —
 /// the fallback must stay available precisely when handlers are failing.
 ///
 /// # Errors
-/// A `bad_request`-worthy message for unknown pattern/scheme names or a
-/// width the prover rejects.
+/// A `bad_request`-worthy message for unknown pattern/scheme names, a
+/// width the prover rejects, or an adaptive request [`execute`] would
+/// also refuse.
 pub fn degraded_pattern(
     pattern_str: &str,
     scheme_str: &str,
     width: usize,
+    adapt: Option<&AdaptiveController>,
 ) -> Result<Value, String> {
-    let pattern = FallbackPattern::parse(pattern_str)?;
-    let scheme: Scheme = scheme_str.parse()?;
-    check_xor_width(scheme, width)?;
-    let analysis = fallback_bounds(scheme, pattern, width).map_err(|e| e.to_string())?;
+    let (pattern, scheme_name, lo, hi, reason) = if scheme_str.eq_ignore_ascii_case("adaptive") {
+        let (ctl, pattern) = adaptive_target(adapt, pattern_str, width)?;
+        let active = ctl.active().candidate;
+        let hi = active.bound(pattern);
+        // A synthesized table has no prover verdict; congestion is ≥ 1.
+        let lo = match active.kind {
+            CandidateKind::Scheme(scheme) => {
+                fallback_bounds(scheme, pattern, width)
+                    .map_err(|e| e.to_string())?
+                    .lo
+            }
+            CandidateKind::Table(_) => 1,
+        };
+        let reason = format!(
+            "{} family under the active candidate '{}': certified worst case {hi}",
+            pattern.wire_name(),
+            active.name
+        );
+        (pattern, active.name, lo, hi, reason)
+    } else {
+        let pattern: MatrixPattern = pattern_str.parse()?;
+        let scheme: Scheme = scheme_str.parse()?;
+        check_xor_width(scheme, width)?;
+        let a = fallback_bounds(scheme, pattern, width).map_err(|e| e.to_string())?;
+        (pattern, scheme.to_string(), a.lo, a.hi, a.reason)
+    };
     Ok(object(vec![
-        ("pattern", Value::String(pattern.name().into())),
-        ("scheme", Value::String(scheme.to_string())),
+        ("pattern", Value::String(pattern.wire_name().into())),
+        ("scheme", Value::String(scheme_name)),
         ("width", Value::U64(width as u64)),
-        ("lo", Value::U64(u64::from(analysis.lo))),
-        ("hi", Value::U64(u64::from(analysis.hi))),
-        ("reason", Value::String(analysis.reason.clone())),
+        ("lo", Value::U64(u64::from(lo))),
+        ("hi", Value::U64(u64::from(hi))),
+        ("reason", Value::String(reason)),
         ("source", Value::String("static-analyzer".into())),
     ]))
 }
@@ -861,7 +889,7 @@ mod tests {
         let out = exec(
             &Command::Synthesize {
                 workload: "column:0;contiguous:0".into(),
-                mode: "sigma".into(),
+                mode: Mode::Sigma,
                 width: 4,
                 seed: 2014,
             },
@@ -885,21 +913,10 @@ mod tests {
 
     #[test]
     fn synthesize_semantic_errors_are_bad_requests() {
-        let bad_mode = exec(
-            &Command::Synthesize {
-                workload: "column:0".into(),
-                mode: "zigzag".into(),
-                width: 4,
-                seed: 1,
-            },
-            &never(),
-            None,
-        );
-        assert!(matches!(bad_mode, Outcome::BadRequest(ref e) if e.contains("zigzag")));
         let bad_plan = exec(
             &Command::Synthesize {
                 workload: "column:0;bogus:9".into(),
-                mode: "sigma".into(),
+                mode: Mode::Sigma,
                 width: 4,
                 seed: 1,
             },
@@ -942,15 +959,47 @@ mod tests {
 
     #[test]
     fn degraded_pattern_returns_certified_bounds() {
-        let data = degraded_pattern("stride", "rap", 16).unwrap();
+        let data = degraded_pattern("stride", "rap", 16, None).unwrap();
         assert_eq!(data.get("lo"), Some(&Value::U64(1)));
         assert_eq!(data.get("hi"), Some(&Value::U64(1)), "Theorem 2 bound");
-        let raw = degraded_pattern("stride", "raw", 16).unwrap();
+        let raw = degraded_pattern("stride", "raw", 16, None).unwrap();
         assert_eq!(raw.get("hi"), Some(&Value::U64(16)));
-        assert!(degraded_pattern("zigzag", "rap", 16).is_err());
-        assert!(degraded_pattern("stride", "xor", 12)
+        assert!(degraded_pattern("zigzag", "rap", 16, None).is_err());
+        assert!(degraded_pattern("stride", "xor", 12, None)
             .unwrap_err()
             .contains("power-of-two"));
+    }
+
+    /// Every Table II pattern's wire spellings — the `adapt_status` class
+    /// name and the degraded `pattern` echo — parse back to the pattern.
+    #[test]
+    fn wire_pattern_names_parse_back() {
+        let status = controller(16, "rap").status().to_value();
+        let classes = status.get("classes").and_then(Value::as_array).unwrap();
+        assert_eq!(classes.len(), MatrixPattern::table2().len());
+        for (pattern, class) in MatrixPattern::table2().into_iter().zip(classes) {
+            let name = class.get("class").and_then(Value::as_str).unwrap();
+            assert_eq!(name.parse(), Ok(pattern), "{name}");
+            let data = degraded_pattern(pattern.name(), "rap", 16, None).unwrap();
+            let echoed = data.get("pattern").and_then(Value::as_str).unwrap();
+            assert_eq!(echoed.parse(), Ok(pattern), "{echoed}");
+        }
+    }
+
+    #[test]
+    fn adaptive_degrades_to_the_active_candidate_bound() {
+        let err = degraded_pattern("stride", "adaptive", 8, None).unwrap_err();
+        assert!(err.contains("start with --adapt"), "{err}");
+        // A synthesized table: no prover lower bound, its exact bound as `hi`.
+        let (ctl, synth) = synth_controller();
+        let active = ctl.active().candidate;
+        for pattern in MatrixPattern::table2() {
+            let data = degraded_pattern(pattern.wire_name(), "adaptive", 8, Some(&ctl)).unwrap();
+            let field = |key| data.get(key).and_then(Value::as_u64);
+            assert_eq!(data.get("scheme").and_then(Value::as_str), Some(&*synth));
+            assert_eq!(field("lo"), Some(1), "{data:?}");
+            assert_eq!(field("hi"), Some(u64::from(active.bound(pattern))));
+        }
     }
 
     fn controller(width: usize, initial: &str) -> rap_adapt::AdaptiveController {
@@ -966,7 +1015,7 @@ mod tests {
     #[test]
     fn adaptive_pattern_is_bit_identical_to_the_static_path() {
         let ctl = controller(16, "rap");
-        for pattern in ["contiguous", "stride", "diagonal", "random"] {
+        for pattern in MatrixPattern::table2().map(MatrixPattern::wire_name) {
             let cmd = |scheme: &str| Command::Pattern {
                 pattern: pattern.into(),
                 scheme: scheme.into(),
@@ -1191,7 +1240,7 @@ mod tests {
             Fault::Panic,
             HitSchedule::Always,
         ));
-        assert!(degraded_pattern("stride", "rap", 16).is_ok());
+        assert!(degraded_pattern("stride", "rap", 16, None).is_ok());
         drop(guard);
     }
 }

@@ -115,7 +115,7 @@ pub enum Command {
         /// `;`-separated plan specs (the `rap synthesize` grammar).
         workload: String,
         /// Layout family: `sigma` or `table`.
-        mode: String,
+        mode: rap_synthesize::Mode,
         /// Matrix width.
         width: usize,
         /// Search seed (annealing path only).
@@ -300,12 +300,12 @@ impl Request {
                         workload.len()
                     ));
                 }
-                let mode = opt_string(req, "mode")?.unwrap_or_else(|| "sigma".to_string());
-                if mode != "sigma" && mode != "table" {
-                    return Err(format!(
-                        "field 'mode' must be 'sigma' or 'table', got '{mode}'"
-                    ));
-                }
+                let mode = match opt_string(req, "mode")? {
+                    None => rap_synthesize::Mode::Sigma,
+                    Some(mode) => mode.parse().map_err(|_| {
+                        format!("field 'mode' must be 'sigma' or 'table', got '{mode}'")
+                    })?,
+                };
                 let width = width_field(req, 8)?;
                 if width > MAX_SYNTHESIZE_WIDTH {
                     return Err(format!(
@@ -626,7 +626,7 @@ mod tests {
             r.cmd,
             Command::Synthesize {
                 workload: "column:0;diagonal:1".into(),
-                mode: "sigma".into(),
+                mode: rap_synthesize::Mode::Sigma,
                 width: 8,
                 seed: 2014,
             }
@@ -639,7 +639,7 @@ mod tests {
             r.cmd,
             Command::Synthesize {
                 workload: "column:0".into(),
-                mode: "table".into(),
+                mode: rap_synthesize::Mode::Table,
                 width: 4,
                 seed: 9,
             }

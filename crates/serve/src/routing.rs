@@ -265,7 +265,12 @@ fn serve_breaker_reject(shared: &Arc<Shared>, job: &Job) {
             scheme,
             width,
             ..
-        } => Some(handler::degraded_pattern(pattern, scheme, *width)),
+        } => Some(handler::degraded_pattern(
+            pattern,
+            scheme,
+            *width,
+            shared.adapt.as_deref(),
+        )),
         Command::Synthesize {
             workload, width, ..
         } => Some(handler::degraded_synthesize(workload, *width)),

@@ -330,6 +330,7 @@ impl ServerHandle {
 mod tests {
     use super::*;
     use crate::client::Client;
+    use rap_access::MatrixPattern;
     use rap_resilience::{FailPlan, Fault, HitSchedule};
     use serde::Value;
 
@@ -499,9 +500,25 @@ mod tests {
         assert!(report.metrics.conserves_responses(), "{report:?}");
     }
 
-    #[test]
-    fn breaker_opens_and_pattern_degrades_to_analyzer_bounds() {
-        let _plan = crate::chaos_lock::plan();
+    /// An in-memory, frozen width-16 controller starting on `initial`.
+    fn frozen_adapt(initial: &str) -> AdaptOptions {
+        AdaptOptions {
+            config: rap_adapt::AdaptConfig {
+                width: 16,
+                initial: initial.to_string(),
+                start_frozen: true,
+                ..rap_adapt::AdaptConfig::default()
+            },
+            ledger: None,
+        }
+    }
+
+    /// A one-worker server whose every handler call panics, its breaker
+    /// tripped open by three panicking requests (the cooldown outlasts
+    /// any test), and the fail plan keeping it so.
+    fn tripped_server(
+        adapt: Option<AdaptOptions>,
+    ) -> (rap_resilience::FailpointGuard, ServerHandle, Client) {
         let guard = rap_resilience::install(FailPlan::new(3).rule(
             "serve.handler",
             Fault::Panic,
@@ -518,9 +535,9 @@ mod tests {
                 cooldown: Duration::from_mins(1),
                 success_to_close: 1,
             },
+            adapt,
             ..ServerConfig::default()
         });
-        // Trip the breaker with panicking requests.
         quiet_panics(|| {
             for i in 0..3 {
                 let resp = client
@@ -531,6 +548,13 @@ mod tests {
         });
         assert_eq!(handle.breaker_state(), "open");
         assert_eq!(handle.breaker_trips(), 1);
+        (guard, handle, client)
+    }
+
+    #[test]
+    fn breaker_opens_and_pattern_degrades_to_analyzer_bounds() {
+        let _plan = crate::chaos_lock::plan();
+        let (guard, handle, mut client) = tripped_server(None);
         // Open breaker: pattern queries degrade to certified bounds...
         let resp = client
             .roundtrip(r#"{"cmd":"pattern","id":10,"pattern":"stride","scheme":"rap","width":16}"#)
@@ -566,6 +590,43 @@ mod tests {
         drop(guard);
         let report = shutdown(handle);
         assert!(report.metrics.degraded_served >= 1);
+        assert!(report.metrics.conserves_responses(), "{report:?}");
+    }
+
+    #[test]
+    fn breaker_open_adaptive_pattern_degrades_to_the_active_candidate_bound() {
+        let _plan = crate::chaos_lock::plan();
+        let (guard, handle, mut client) = tripped_server(Some(frozen_adapt("raw")));
+        // Open breaker: an adaptive query degrades to the committed
+        // candidate's certified bound, served under its name.
+        let active = handle.adapt().unwrap().active().candidate;
+        for pattern in MatrixPattern::table2() {
+            let resp = client
+                .roundtrip(&format!(
+                    r#"{{"cmd":"pattern","id":10,"pattern":"{}","scheme":"adaptive","width":16}}"#,
+                    pattern.wire_name()
+                ))
+                .unwrap();
+            assert!(resp.ok && resp.degraded, "{pattern}: {resp:?}");
+            assert_eq!(text(&resp, &["source"]), Some("static-analyzer"));
+            assert_eq!(text(&resp, &["scheme"]), Some("raw"), "{resp:?}");
+            let bound = |key| field(&resp, &[key]).and_then(Value::as_u64).unwrap();
+            let (lo, hi) = (bound("lo"), bound("hi"));
+            assert_eq!(hi, u64::from(active.bound(pattern)), "{resp:?}");
+            assert!(1 <= lo && lo <= hi, "{resp:?}");
+        }
+        // The adaptive path's own refusals carry over verbatim.
+        let resp = client
+            .roundtrip(
+                r#"{"cmd":"pattern","id":11,"pattern":"stride","scheme":"adaptive","width":8}"#,
+            )
+            .unwrap();
+        assert_eq!(resp.error_kind(), Some("bad_request"), "{resp:?}");
+        let message = &resp.error.as_ref().unwrap().message;
+        assert!(message.contains("tile width 16, got 8"), "{message}");
+        drop(guard);
+        let report = shutdown(handle);
+        assert_eq!(report.metrics.degraded_served, 4);
         assert!(report.metrics.conserves_responses(), "{report:?}");
     }
 
@@ -613,15 +674,7 @@ mod tests {
     fn adaptive_endpoints_answer_over_the_wire() {
         let _calm = crate::chaos_lock::handler();
         let (handle, mut client) = small_server(ServerConfig {
-            adapt: Some(crate::server::AdaptOptions {
-                config: rap_adapt::AdaptConfig {
-                    width: 16,
-                    initial: "rap".to_string(),
-                    start_frozen: true,
-                    ..rap_adapt::AdaptConfig::default()
-                },
-                ledger: None,
-            }),
+            adapt: Some(frozen_adapt("rap")),
             ..ServerConfig::default()
         });
         // Status answers inline with the committed scheme.

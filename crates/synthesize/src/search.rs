@@ -65,12 +65,13 @@ impl Mode {
             Mode::Table => "table",
         }
     }
+}
 
-    /// Parse a mode name.
-    ///
-    /// # Errors
-    /// Unknown mode names.
-    pub fn parse(s: &str) -> Result<Self, String> {
+impl std::str::FromStr for Mode {
+    type Err = String;
+
+    /// Parse a certificate-format mode name (case-sensitive).
+    fn from_str(s: &str) -> Result<Self, String> {
         match s {
             "sigma" => Ok(Mode::Sigma),
             "table" => Ok(Mode::Table),
@@ -830,9 +831,9 @@ mod tests {
 
     #[test]
     fn mode_parse_round_trips() {
-        assert_eq!(Mode::parse("sigma").unwrap(), Mode::Sigma);
-        assert_eq!(Mode::parse("table").unwrap(), Mode::Table);
-        assert!(Mode::parse("zigzag").is_err());
+        assert_eq!("sigma".parse(), Ok(Mode::Sigma));
+        assert_eq!("table".parse(), Ok(Mode::Table));
+        assert!("zigzag".parse::<Mode>().is_err());
         assert_eq!(Mode::Sigma.to_string(), "sigma");
     }
 }
