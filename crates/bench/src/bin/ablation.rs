@@ -8,16 +8,13 @@ use rap_bench::table::TextTable;
 use rap_bench::{output, CliArgs};
 
 fn main() {
-    if let Err(err) = run() {
-        eprintln!("ablation: {err}");
-        std::process::exit(1);
-    }
+    rap_bench::exit_on_error("ablation", run());
 }
 
 fn run() -> Result<(), String> {
     let args = CliArgs::from_env();
     let _failpoints = rap_bench::failpoints_from_env()?;
-    let seed = args.get_u64("seed", 2014);
+    let seed = args.get_u64("seed", 2014)?;
 
     println!("A3 — SM-model ablation (paper: CRSW speedup 10.3x, DRDW penalty 2.74x)\n");
     let rows = ablation::run(seed);
@@ -38,8 +35,5 @@ fn run() -> Result<(), String> {
     );
 
     let record = ablation::to_record(seed, &rows);
-    let path = output::write_record_to(&output::results_dir(), &record)
-        .map_err(|e| format!("writing results: {e}"))?;
-    println!("wrote {}", path.display());
-    Ok(())
+    output::publish_record(&record)
 }

@@ -19,11 +19,15 @@ use rap_bench::experiments::adapt_chaos::{self, AdaptChaosConfig};
 use rap_bench::{soak, CliArgs};
 
 fn main() {
+    rap_bench::exit_on_error("adapt_chaos", run());
+}
+
+fn run() -> Result<(), String> {
     let args = CliArgs::from_env();
     let cfg = AdaptChaosConfig {
-        seed: args.get_u64("seed", 2014),
-        width: args.get_usize("width", 16),
-        requests: args.get_u64("requests", 192),
+        seed: args.get_u64("seed", 2014)?,
+        width: args.get_usize("width", 16)?,
+        requests: args.get_u64("requests", 192)?,
         server_bin: args.get("server-bin").map(std::path::PathBuf::from),
     };
     println!(
@@ -38,5 +42,5 @@ fn main() {
         cfg.seed,
         cfg.requests,
     );
-    soak::drive("adapt_chaos", "adapt_chaos.json", || adapt_chaos::run(&cfg));
+    soak::drive("adapt_chaos.json", || adapt_chaos::run(&cfg))
 }

@@ -37,10 +37,7 @@ struct AnalyzeArtifact {
 }
 
 fn main() {
-    if let Err(err) = run() {
-        eprintln!("analyze: {err}");
-        std::process::exit(1);
-    }
+    rap_bench::exit_on_error("analyze", run());
 }
 
 fn run() -> Result<(), String> {
@@ -118,10 +115,7 @@ fn run() -> Result<(), String> {
         wall_seconds,
         proven,
     };
-    let path = output::results_dir().join("analyze.json");
-    rap_resilience::write_json_atomic(&path, &artifact)
-        .map_err(|e| format!("writing results: {e}"))?;
-    println!("wrote {}", path.display());
+    output::publish("analyze.json", &artifact)?;
 
     if !proven {
         return Err("static analysis FAILED".into());

@@ -8,12 +8,16 @@ use rap_bench::experiments::chaos;
 use rap_bench::{soak, CliArgs};
 
 fn main() {
-    let seed = CliArgs::from_env().get_u64("seed", 2014);
+    rap_bench::exit_on_error("chaos", run());
+}
+
+fn run() -> Result<(), String> {
+    let seed = CliArgs::from_env().get_u64("seed", 2014)?;
     println!("CHAOS — fault-injection self-test of the resilience stack (seed {seed})\n");
     let scratch = std::env::temp_dir().join(format!("rap-chaos-{}", std::process::id()));
-    soak::drive("chaos", "chaos.json", || {
+    soak::drive("chaos.json", || {
         let report = chaos::run(&scratch, seed);
         let _ = std::fs::remove_dir_all(&scratch);
         report
-    });
+    })
 }

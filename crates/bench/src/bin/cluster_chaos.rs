@@ -17,13 +17,17 @@ use rap_bench::experiments::cluster_chaos::{self, ChaosConfig};
 use rap_bench::{output, soak, CliArgs};
 
 fn main() {
+    rap_bench::exit_on_error("cluster_chaos", run());
+}
+
+fn run() -> Result<(), String> {
     let args = CliArgs::from_env();
     let cfg = ChaosConfig {
-        seed: args.get_u64("seed", 2014),
-        workers: args.get_usize("workers", 8),
-        requests: args.get_u64("requests", 100_000),
-        clients: args.get_u64("clients", 8),
-        base_trials: args.get_u64("trials", 200),
+        seed: args.get_u64("seed", 2014)?,
+        workers: args.get_usize("workers", 8)?,
+        requests: args.get_u64("requests", 100_000)?,
+        clients: args.get_u64("clients", 8)?,
+        base_trials: args.get_u64("trials", 200)?,
         worker_bin: args.get("worker-bin").map(std::path::PathBuf::from),
     };
     println!(
@@ -38,22 +42,16 @@ fn main() {
         },
         cfg.seed
     );
-    soak::drive("cluster_chaos", "cluster_chaos.json", || {
-        cluster_chaos::run(&cfg)
-    });
+    soak::drive("cluster_chaos.json", || cluster_chaos::run(&cfg))?;
 
     // Distributed-vs-single record pair for the CI job's external `cmp`
     // — the byte-identity claim should not rest on this process's own
     // comparison alone.
-    match cluster_chaos::write_identity_pair(&cfg, &output::results_dir()) {
-        Ok((distributed, single)) => println!(
-            "wrote identity pair: {} vs {}",
-            distributed.display(),
-            single.display()
-        ),
-        Err(err) => {
-            eprintln!("cluster_chaos: {err}");
-            std::process::exit(1);
-        }
-    }
+    let (distributed, single) = cluster_chaos::write_identity_pair(&cfg, &output::results_dir())?;
+    println!(
+        "wrote identity pair: {} vs {}",
+        distributed.display(),
+        single.display()
+    );
+    Ok(())
 }

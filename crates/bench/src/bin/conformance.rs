@@ -23,17 +23,14 @@ struct ConformanceArtifact {
 }
 
 fn main() {
-    if let Err(err) = run() {
-        eprintln!("conformance: {err}");
-        std::process::exit(1);
-    }
+    rap_bench::exit_on_error("conformance", run());
 }
 
 fn run() -> Result<(), String> {
     let args = CliArgs::from_env();
     let _failpoints = rap_bench::failpoints_from_env()?;
-    let multiplier = args.get_u64("multiplier", 4);
-    let seed = args.get_u64("seed", 2014);
+    let multiplier = args.get_u64("multiplier", 4)?;
+    let seed = args.get_u64("seed", 2014)?;
 
     println!("CONF — differential conformance, extended sweep");
     println!("base seed {seed:#x}, budget multiplier {multiplier}\n");
@@ -59,10 +56,7 @@ fn run() -> Result<(), String> {
         wall_seconds,
         report,
     };
-    let path = output::results_dir().join("conformance.json");
-    rap_resilience::write_json_atomic(&path, &artifact)
-        .map_err(|e| format!("writing results: {e}"))?;
-    println!("wrote {}", path.display());
+    output::publish("conformance.json", &artifact)?;
 
     if !clean {
         return Err("conformance sweep FAILED".into());

@@ -8,10 +8,7 @@ use rap_bench::output;
 use rap_bench::table::TextTable;
 
 fn main() {
-    if let Err(err) = run() {
-        eprintln!("lemma1: {err}");
-        std::process::exit(1);
-    }
+    rap_bench::exit_on_error("lemma1", run());
 }
 
 fn run() -> Result<(), String> {
@@ -49,8 +46,5 @@ fn run() -> Result<(), String> {
     );
 
     let record = lemma1::to_record(&rows);
-    let path = output::write_record_to(&output::results_dir(), &record)
-        .map_err(|e| format!("writing results: {e}"))?;
-    println!("wrote {}", path.display());
-    Ok(())
+    output::publish_record(&record)
 }

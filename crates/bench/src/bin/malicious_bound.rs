@@ -8,17 +8,14 @@ use rap_bench::table::{fmt2, TextTable};
 use rap_bench::{output, CliArgs};
 
 fn main() {
-    if let Err(err) = run() {
-        eprintln!("malicious_bound: {err}");
-        std::process::exit(1);
-    }
+    rap_bench::exit_on_error("malicious_bound", run());
 }
 
 fn run() -> Result<(), String> {
     let args = CliArgs::from_env();
     let _failpoints = rap_bench::failpoints_from_env()?;
-    let trials = args.get_u64("trials", 400);
-    let seed = args.get_u64("seed", 2014);
+    let trials = args.get_u64("trials", 400)?;
+    let seed = args.get_u64("seed", 2014)?;
     let widths = [16usize, 32, 64, 128, 256];
 
     println!("A1 — malicious access vs the RAP guarantee (trials={trials}, seed={seed})");
@@ -53,8 +50,5 @@ fn run() -> Result<(), String> {
     );
 
     let record = malicious::to_record(trials, seed, &rows);
-    let path = output::write_record_to(&output::results_dir(), &record)
-        .map_err(|e| format!("writing results: {e}"))?;
-    println!("wrote {}", path.display());
-    Ok(())
+    output::publish_record(&record)
 }

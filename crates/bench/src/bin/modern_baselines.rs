@@ -11,18 +11,15 @@ use rap_bench::{output, CliArgs};
 use rap_core::Scheme;
 
 fn main() {
-    if let Err(err) = run() {
-        eprintln!("modern_baselines: {err}");
-        std::process::exit(1);
-    }
+    rap_bench::exit_on_error("modern_baselines", run());
 }
 
 fn run() -> Result<(), String> {
     let args = CliArgs::from_env();
     let _failpoints = rap_bench::failpoints_from_env()?;
-    let w = args.get_usize("width", 32);
-    let trials = args.get_u64("trials", 500);
-    let seed = args.get_u64("seed", 2014);
+    let w = args.get_usize("width", 32)?;
+    let trials = args.get_u64("trials", 500)?;
+    let seed = args.get_u64("seed", 2014)?;
 
     println!("A7 — RAP vs modern deterministic baselines (w={w}, {trials} trials)\n");
 
@@ -63,8 +60,5 @@ fn run() -> Result<(), String> {
     );
 
     let record = modern::to_record(w, trials, seed, &cells);
-    let path = output::write_record_to(&output::results_dir(), &record)
-        .map_err(|e| format!("writing results: {e}"))?;
-    println!("wrote {}", path.display());
-    Ok(())
+    output::publish_record(&record)
 }

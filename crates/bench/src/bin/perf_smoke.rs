@@ -1,84 +1,51 @@
-//! Performance smoke test of the Monte-Carlo engine.
+//! Throughput gate and thread-scaling smoke test of the Monte-Carlo
+//! engine. Times the Table-II-style sweep whose `w`, `trials_per_cell`
+//! and `seed` come from `results/perf_baseline.json` at 1, 2, … threads,
+//! best of 3 each, asserts that every run computes the identical
+//! estimate (the checksum), and writes `results/perf_smoke.json`.
 //!
-//! Times a fixed Table-II-style sweep (every pattern × scheme at one
-//! width) at several thread counts and writes `results/perf_smoke.json`
-//! with trials/sec, wall time, and the speedup over one thread. Unlike the
-//! criterion benches this runs in seconds and produces machine-readable
-//! output, so it can gate regressions in CI or quick local checks.
+//! * **Gate.** The best 1-thread rate must reach `min_ratio ×
+//!   trials_per_second` of the baseline. Single-thread is the only rate
+//!   comparable across runners with different core counts; the band
+//!   absorbs runner variance, while losing the bit-parallel kernel or the
+//!   fused mapping (3-5x) lands far outside it.
+//! * **Scaling.** Samples with more threads than physical cores are
+//!   flagged `unreliable` (SMT or timesharing); on hosts with at least
+//!   two physical cores the best reliable speedup must reach 1.2.
 //!
-//! The scaling numbers are honest about the hardware: the report carries
-//! both **logical** and **physical** CPU counts, every sample that ran
-//! more worker threads than physical cores is flagged `unreliable` (SMT
-//! or timesharing, not parallel scaling), and the built-in scaling check
-//! — best reliable multi-thread speedup ≥ 1.2 — only arms on hosts with
-//! at least two physical cores. On a 1-core box the run still doubles as
-//! a cross-thread-count determinism check (see the checksum assert).
-//!
-//! Timings are not checkpointed: wall-clock samples are inherently
-//! non-reproducible, so a resumed run could never be byte-identical to an
-//! uninterrupted one. Instead `--budget-ms` bounds the run — thread
-//! counts that would start after the deadline are skipped and the report
-//! is marked `degraded` with a note per skipped count.
+//! The report is always written; the bin then exits 1 if a check failed.
+//! `--budget-ms` skips the thread counts above 1 that would start after
+//! the deadline and marks the report `degraded`. `--update` rewrites the
+//! baseline's `trials_per_second` from this run (on the machine class CI
+//! runs on; then commit the file) and does not fail on the gate.
 //!
 //! Usage: `cargo run -p rap-bench --bin perf_smoke --release
-//! [--trials 2000] [--w 32] [--seed 2014] [--budget-ms N]
-//! [--cluster-workers 2] [--worker-bin target/release/rap]`
-//!
-//! The report also carries a cluster section — worker-process count,
-//! per-shard `pattern_block` throughput, and the aggregate blocks/sec of
-//! a small distributed sweep — so shard regressions are visible next to
-//! the single-process engine numbers. `--cluster-workers 0` disables it.
+//! [--baseline results/perf_baseline.json] [--budget-ms N] [--update]`
 
-use rap_bench::{output, perf, CliArgs};
+use rap_bench::perf::{self, Gate, PerfBaseline};
+use rap_bench::{output, CliArgs};
 use serde::Serialize;
 use std::time::{Duration, Instant};
 
-/// One timed sweep at a fixed thread count.
+/// Repetitions per thread count; the best is scored.
+const REPS: usize = 3;
+
+/// The best of [`REPS`] sweeps at a fixed thread count.
 #[derive(Debug, Serialize)]
 struct ThreadSample {
     /// Worker threads used by the engine.
     threads: usize,
-    /// Wall time of the whole sweep in seconds.
+    /// Best wall time of the whole sweep in seconds.
     wall_seconds: f64,
     /// Monte-Carlo trials completed per second (all cells combined).
     trials_per_second: f64,
     /// Speedup over the 1-thread sweep.
     speedup: f64,
-    /// True when `threads` exceeds the physical core count: the speedup
-    /// then measures SMT/timesharing effects, not parallel scaling.
+    /// True when `threads` exceeds the physical core count.
     unreliable: bool,
 }
 
-/// Throughput of one cluster shard, measured over its own socket.
-#[derive(Debug, Serialize)]
-struct ShardSample {
-    /// Worker index in the pool.
-    worker: usize,
-    /// The shard's listen address.
-    addr: String,
-    /// `pattern_block` requests timed against this shard.
-    requests: u64,
-    /// Requests per second this shard sustained.
-    requests_per_second: f64,
-}
-
-/// Cluster section of the report: how many workers, how fast each shard
-/// is, and the distributed sweep's aggregate block throughput.
-#[derive(Debug, Serialize)]
-struct ClusterPerf {
-    /// Worker processes (or in-process servers) in the pool.
-    worker_processes: u64,
-    /// True when the workers were real spawned `rap serve` processes.
-    process_workers: bool,
-    /// Per-shard `pattern_block` throughput.
-    shards: Vec<ShardSample>,
-    /// Blocks in the timed distributed sweep.
-    sweep_blocks: u64,
-    /// Aggregate blocks per second of the distributed sweep.
-    sweep_blocks_per_second: f64,
-}
-
-/// The full smoke report written to `results/perf_smoke.json`.
+/// The report written to `results/perf_smoke.json`.
 #[derive(Debug, Serialize)]
 struct PerfSmokeReport {
     /// Experiment id (fixed: "perf_smoke").
@@ -99,114 +66,48 @@ struct PerfSmokeReport {
     physical_cpus: usize,
     /// One entry per tested thread count.
     samples: Vec<ThreadSample>,
-    /// Checksum: sum of all cell means, to pin that every thread count
-    /// computed the identical estimate (the engine's determinism
-    /// contract).
+    /// Sum of all cell means, identical at every thread count and rep.
     mean_checksum: f64,
-    /// Outcome of the scaling check: "passed", or the reason it was
-    /// skipped.
+    /// The best 1-thread rate judged against the baseline.
+    gate: Gate,
+    /// "passed", "failed: …", or the reason the check was skipped.
     scaling_check: String,
-    /// Sharded-coordinator throughput (`--cluster-workers 0` disables).
-    cluster: Option<ClusterPerf>,
     /// True when the wall budget cut the thread-count sweep short.
     degraded: bool,
     /// Human-readable notes about skipped thread counts.
     notes: Vec<String>,
 }
 
-/// Time each shard individually, then a small distributed sweep.
-fn cluster_perf(
-    workers: usize,
-    worker_bin: Option<&str>,
-    seed: u64,
-) -> Result<ClusterPerf, String> {
-    use rap_bench::experiments::table2::{self, Table2Config};
-    use rap_cluster::{Cluster, ClusterConfig, WorkerPool};
-
-    let pool = match worker_bin {
-        Some(bin) => WorkerPool::spawn_processes(std::path::Path::new(bin), workers)
-            .map_err(|e| format!("spawning workers from {bin}: {e}"))?,
-        None => WorkerPool::in_process(workers).map_err(|e| format!("spawning workers: {e}"))?,
-    };
-
-    // Per-shard: a burst of real block requests over the shard's socket.
-    const PROBE_REQUESTS: u64 = 64;
-    let mut shards = Vec::with_capacity(workers);
-    for (w, addr) in pool.addrs().into_iter().enumerate() {
-        let mut client =
-            rap_serve::Client::connect(addr).map_err(|e| format!("shard {w} connect: {e}"))?;
-        let start = Instant::now();
-        for i in 0..PROBE_REQUESTS {
-            let line = format!(
-                r#"{{"cmd":"pattern_block","id":{i},"pattern":"random","scheme":"rap","width":16,"trials":32,"block":0,"seed":{seed}}}"#
-            );
-            let resp = client
-                .roundtrip(&line)
-                .map_err(|e| format!("shard {w} request {i}: {e}"))?;
-            if !resp.ok {
-                return Err(format!("shard {w} refused a block request: {resp:?}"));
-            }
-        }
-        shards.push(ShardSample {
-            worker: w,
-            addr: addr.to_string(),
-            requests: PROBE_REQUESTS,
-            requests_per_second: PROBE_REQUESTS as f64 / start.elapsed().as_secs_f64().max(1e-9),
-        });
-    }
-
-    // Aggregate: a small distributed Table II sweep, timed end to end.
-    let t2 = Table2Config {
-        widths: vec![16, 32],
-        base_trials: 200,
-        seed,
-    };
-    let cluster = Cluster::new(pool, ClusterConfig::default());
-    let ledger = rap_resilience::Ledger::in_memory();
-    let start = Instant::now();
-    let (_, report) = cluster.run_sweep(&table2::sweep_cells(&t2), &ledger);
-    let wall = start.elapsed().as_secs_f64().max(1e-9);
-    cluster.pool().shutdown();
-    if report.degraded {
-        return Err(format!("the timed sweep degraded: {report:?}"));
-    }
-    Ok(ClusterPerf {
-        worker_processes: workers as u64,
-        process_workers: worker_bin.is_some(),
-        shards,
-        sweep_blocks: report.blocks_total,
-        sweep_blocks_per_second: report.blocks_total as f64 / wall,
-    })
-}
-
 fn main() {
-    if let Err(err) = run() {
-        eprintln!("perf_smoke: {err}");
-        std::process::exit(1);
-    }
+    rap_bench::exit_on_error("perf_smoke", run());
 }
 
 fn run() -> Result<(), String> {
     let args = CliArgs::from_env();
     let _failpoints = rap_bench::failpoints_from_env()?;
-    let w = args.get_usize("w", 32);
-    let trials = args.get_u64("trials", 2000);
-    let seed = args.get_u64("seed", 2014);
+    let path = args.get("baseline").unwrap_or("results/perf_baseline.json");
+    let mut baseline: PerfBaseline = std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| serde_json::from_str(&text).map_err(|e| e.to_string()))
+        .map_err(|e| format!("baseline {path}: {e}"))?;
+    let (w, trials, seed) = (baseline.w, baseline.trials_per_cell, baseline.seed);
     if w == 0 || trials == 0 {
-        eprintln!("error: --w and --trials must be at least 1 (got w={w}, trials={trials})");
-        std::process::exit(2);
+        return Err(format!(
+            "baseline {path}: w and trials_per_cell must be at least 1"
+        ));
     }
-    let budget_ms = args.get_u64("budget-ms", 0);
+    // Reject a bad min_ratio before timing anything.
+    perf::judge(baseline.trials_per_second, &baseline)?;
+    let budget_ms = args.get_u64("budget-ms", 0)?;
     let deadline = (budget_ms > 0).then(|| Instant::now() + Duration::from_millis(budget_ms));
 
     let cells = perf::sweep_cells();
-    let total_trials = trials * cells as u64;
     let logical = perf::logical_cpus();
     let physical = perf::physical_cpus();
-
     println!(
-        "perf_smoke — Table-II-style sweep, w={w}, {trials} trials/cell, {cells} cells, \
-         {logical} logical / {physical} physical CPUs"
+        "perf_smoke — Table-II-style sweep, w={w}, {trials} trials/cell, {cells} cells, best of \
+         {REPS}, {logical} logical / {physical} physical CPUs; baseline {:.0} trials/s ({})",
+        baseline.trials_per_second, baseline.recorded_on
     );
 
     // Warm up (page in code, grow allocator arenas) before timing.
@@ -214,21 +115,16 @@ fn run() -> Result<(), String> {
 
     // Always time 2 threads even on a 1-core host: the run doubles as a
     // cross-thread-count determinism check (see the checksum assert).
-    let mut thread_counts = vec![1usize, 2];
-    if logical > 3 {
-        thread_counts.push(logical / 2);
-    }
-    if logical > 2 {
-        thread_counts.push(logical);
-    }
+    let mut thread_counts = vec![1, 2, (logical / 2).max(1), logical];
+    thread_counts.sort_unstable();
     thread_counts.dedup();
 
-    let mut samples = Vec::new();
+    let mut samples: Vec<ThreadSample> = Vec::new();
     let mut notes = Vec::new();
-    let mut baseline = None;
     let mut checksum = None;
-    for &threads in &thread_counts {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
+    for threads in thread_counts {
+        // The 1-thread sample always runs: the gate needs it.
+        if threads > 1 && deadline.is_some_and(|d| Instant::now() >= d) {
             notes.push(format!(
                 "skipped threads={threads}: wall budget of {budget_ms} ms exhausted"
             ));
@@ -238,29 +134,28 @@ fn run() -> Result<(), String> {
             .num_threads(threads)
             .build()
             .map_err(|e| format!("building {threads}-thread pool: {e}"))?;
-        let timing = pool.install(|| perf::run_sweep(w, trials, seed));
-        match checksum {
-            None => checksum = Some(timing.mean_checksum),
+        let mut best = f64::INFINITY;
+        for _ in 0..REPS {
+            let timing = pool.install(|| perf::run_sweep(w, trials, seed));
             // Engine contract: the estimate is bit-identical per thread
-            // count, so the checksum must be too.
-            Some(c) => assert!(
+            // count and per run, so the checksum must be too.
+            let c = *checksum.get_or_insert(timing.mean_checksum);
+            assert!(
                 c == timing.mean_checksum,
-                "thread-count determinism violated: {c} vs {}",
+                "determinism violated at threads={threads}: {c} vs {}",
                 timing.mean_checksum
-            ),
+            );
+            best = best.min(timing.wall_seconds);
         }
-        let base = *baseline.get_or_insert(timing.wall_seconds);
         let sample = ThreadSample {
             threads,
-            wall_seconds: timing.wall_seconds,
-            trials_per_second: timing.trials_per_second(),
-            speedup: base / timing.wall_seconds,
+            wall_seconds: best,
+            trials_per_second: (trials * cells as u64) as f64 / best,
+            speedup: samples.first().map_or(best, |s| s.wall_seconds) / best,
             unreliable: threads > physical,
         };
         println!(
-            "  threads={:<3} wall={:.3}s  {:.0} trials/s  speedup {:.2}x{}",
-            sample.threads,
-            sample.wall_seconds,
+            "  threads={threads:<3} wall={best:.3}s  {:.0} trials/s  speedup {:.2}x{}",
             sample.trials_per_second,
             sample.speedup,
             if sample.unreliable {
@@ -274,6 +169,15 @@ fn run() -> Result<(), String> {
     for note in &notes {
         eprintln!("perf_smoke: {note}");
     }
+
+    let gate = perf::judge(samples[0].trials_per_second, &baseline)?;
+    println!(
+        "gate: {:.0} trials/s = {:.2}x baseline (threshold {:.2}x) → {}",
+        gate.measured,
+        gate.ratio,
+        gate.min_ratio,
+        if gate.pass { "PASS" } else { "FAIL" }
+    );
 
     // Scaling check: only meaningful where real parallel hardware exists
     // and the budget let a reliable multi-thread sample run.
@@ -289,58 +193,46 @@ fn run() -> Result<(), String> {
     } else if best_reliable >= 1.2 {
         "passed".to_string()
     } else {
-        return Err(format!(
-            "scaling check failed: best reliable multi-thread speedup {best_reliable:.2}x < 1.2x \
-             on {physical} physical cores"
-        ));
+        format!(
+            "failed: best reliable multi-thread speedup {best_reliable:.2}x < 1.2x on \
+             {physical} physical cores"
+        )
     };
     println!("scaling check: {scaling_check}");
 
-    // Cluster throughput: worker count and per-shard request rates.
-    let cluster_workers = args.get_usize("cluster-workers", 2);
-    let cluster = if cluster_workers == 0 {
-        None
-    } else {
-        let perf = cluster_perf(cluster_workers.min(16), args.get("worker-bin"), seed)?;
-        println!(
-            "cluster: {} {} worker(s), sweep {:.0} blocks/s",
-            perf.worker_processes,
-            if perf.process_workers {
-                "process"
-            } else {
-                "in-process"
-            },
-            perf.sweep_blocks_per_second
-        );
-        for s in &perf.shards {
-            println!(
-                "  shard {} ({}): {:.0} block requests/s",
-                s.worker, s.addr, s.requests_per_second
-            );
-        }
-        Some(perf)
-    };
-
     let report = PerfSmokeReport {
         id: "perf_smoke".into(),
-        params: format!("w={w} trials={trials} seed={seed}"),
+        params: format!("w={w} trials={trials} seed={seed} reps={REPS}"),
         w,
         trials_per_cell: trials,
         cells,
-        total_trials,
+        total_trials: trials * cells as u64,
         logical_cpus: logical,
         physical_cpus: physical,
         samples,
         mean_checksum: checksum.unwrap_or(0.0),
+        gate,
         scaling_check,
-        cluster,
         degraded: !notes.is_empty(),
         notes,
     };
+    output::publish("perf_smoke.json", &report)?;
 
-    let path = output::results_dir().join("perf_smoke.json");
-    rap_resilience::write_json_atomic(&path, &report)
-        .map_err(|e| format!("writing report: {e}"))?;
-    println!("wrote {}", path.display());
-    Ok(())
+    let mut failed = Vec::new();
+    if args.flag("update") {
+        baseline.trials_per_second = gate.measured;
+        rap_resilience::write_json_atomic(std::path::Path::new(path), &baseline)
+            .map_err(|e| format!("updating baseline: {e}"))?;
+        println!("updated baseline {path}");
+    } else if !gate.pass {
+        failed.push("throughput gate");
+    }
+    if report.scaling_check.starts_with("failed") {
+        failed.push("scaling check");
+    }
+    if failed.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("{} FAILED", failed.join(" and ")))
+    }
 }

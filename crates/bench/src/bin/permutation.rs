@@ -9,19 +9,16 @@ use rap_bench::{output, CliArgs};
 use rap_permute::Strategy;
 
 fn main() {
-    if let Err(err) = run() {
-        eprintln!("permutation: {err}");
-        std::process::exit(1);
-    }
+    rap_bench::exit_on_error("permutation", run());
 }
 
 fn run() -> Result<(), String> {
     let args = CliArgs::from_env();
     let _failpoints = rap_bench::failpoints_from_env()?;
-    let w = args.get_usize("width", 32);
-    let latency = args.get_u64("latency", 8);
-    let instances = args.get_u64("instances", 15);
-    let seed = args.get_u64("seed", 2014);
+    let w = args.get_usize("width", 32)?;
+    let latency = args.get_u64("latency", 8)?;
+    let instances = args.get_u64("instances", 15)?;
+    let seed = args.get_u64("seed", 2014)?;
 
     println!(
         "A4 — offline permutation of w² = {} words on the DMM (w={w}, l={latency})",
@@ -62,8 +59,5 @@ fn run() -> Result<(), String> {
     );
 
     let record = permutation::to_record(w, latency, seed, &cells);
-    let path = output::write_record_to(&output::results_dir(), &record)
-        .map_err(|e| format!("writing results: {e}"))?;
-    println!("wrote {}", path.display());
-    Ok(())
+    output::publish_record(&record)
 }

@@ -11,15 +11,19 @@ use rap_bench::experiments::serve_chaos;
 use rap_bench::{soak, CliArgs};
 
 fn main() {
+    rap_bench::exit_on_error("serve_chaos", run());
+}
+
+fn run() -> Result<(), String> {
     let args = CliArgs::from_env();
-    let seed = args.get_u64("seed", 2014);
-    let requests = args.get_u64("requests", 1000);
-    let clients = args.get_u64("clients", 8);
+    let seed = args.get_u64("seed", 2014)?;
+    let requests = args.get_u64("requests", 1000)?;
+    let clients = args.get_u64("clients", 8)?;
     println!(
         "SERVE_CHAOS — {requests}-request soak over {clients} clients with injected \
          handler faults (seed {seed})\n"
     );
-    soak::drive("serve_chaos", "serve_chaos.json", || {
+    soak::drive("serve_chaos.json", || {
         serve_chaos::run(seed, requests, clients)
-    });
+    })
 }

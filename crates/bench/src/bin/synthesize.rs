@@ -58,10 +58,7 @@ struct SynthArtifact {
 }
 
 fn main() {
-    if let Err(err) = run() {
-        eprintln!("synthesize: {err}");
-        std::process::exit(1);
-    }
+    rap_bench::exit_on_error("synthesize", run());
 }
 
 /// The prover's certified worst-case bound for the workload under one
@@ -155,10 +152,7 @@ fn run() -> Result<(), String> {
         wall_seconds,
         ok,
     };
-    let path = output::results_dir().join("synthesize.json");
-    rap_resilience::write_json_atomic(&path, &artifact)
-        .map_err(|e| format!("writing results: {e}"))?;
-    println!("wrote {}", path.display());
+    output::publish("synthesize.json", &artifact)?;
 
     if !ok {
         return Err("synthesis gate FAILED: a synthesized layout exceeded \

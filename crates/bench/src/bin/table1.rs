@@ -9,18 +9,15 @@ use rap_bench::table::{fmt2, TextTable};
 use rap_bench::{output, CliArgs};
 
 fn main() {
-    if let Err(err) = run() {
-        eprintln!("table1: {err}");
-        std::process::exit(1);
-    }
+    rap_bench::exit_on_error("table1", run());
 }
 
 fn run() -> Result<(), String> {
     let args = CliArgs::from_env();
     let _failpoints = rap_bench::failpoints_from_env()?;
-    let w = args.get_usize("width", 32);
-    let trials = args.get_u64("trials", 200);
-    let seed = args.get_u64("seed", 2014);
+    let w = args.get_usize("width", 32)?;
+    let trials = args.get_u64("trials", 200)?;
+    let seed = args.get_u64("seed", 2014)?;
 
     println!("Table I — congestion classes of the RAW, RAS and RAP implementations");
     println!("(empirical check at w={w}, {trials} trials, seed {seed})\n");
@@ -41,8 +38,5 @@ fn run() -> Result<(), String> {
     println!("{}", t.render());
 
     let record = table1::to_record(w, trials, seed, &cells);
-    let path = output::write_record_to(&output::results_dir(), &record)
-        .map_err(|e| format!("writing results: {e}"))?;
-    println!("wrote {}", path.display());
-    Ok(())
+    output::publish_record(&record)
 }

@@ -15,23 +15,20 @@ use rap_bench::{output, CliArgs, ResilienceArgs};
 use rap_core::Scheme;
 
 fn main() {
-    if let Err(err) = run() {
-        eprintln!("table2: {err}");
-        std::process::exit(1);
-    }
+    rap_bench::exit_on_error("table2", run());
 }
 
 fn run() -> Result<(), String> {
     let args = CliArgs::from_env();
     let _failpoints = rap_bench::failpoints_from_env()?;
     let mut cfg = Table2Config {
-        base_trials: args.get_u64("trials", 2000),
-        seed: args.get_u64("seed", 2014),
+        base_trials: args.get_u64("trials", 2000)?,
+        seed: args.get_u64("seed", 2014)?,
         ..Table2Config::default()
     };
     // --wmax extends the sweep beyond the paper's 256 ("the value of w
     // may be increased in future GPUs", paper §V).
-    let wmax = args.get_usize("wmax", 256);
+    let wmax = args.get_usize("wmax", 256)?;
     let mut w = 512;
     while w <= wmax {
         cfg.widths.push(w);
@@ -44,7 +41,7 @@ fn run() -> Result<(), String> {
         cfg.base_trials, cfg.seed
     );
 
-    let rargs = ResilienceArgs::from_cli(&args, "t2.ledger");
+    let rargs = ResilienceArgs::from_cli(&args, "t2.ledger")?;
     let ledger = rargs
         .open_ledger(cfg.fingerprint())
         .map_err(|e| format!("opening checkpoint ledger: {e}"))?;
@@ -89,9 +86,7 @@ fn run() -> Result<(), String> {
             worst * 100.0
         );
     }
-    let path = output::write_record_to(&output::results_dir(), &record)
-        .map_err(|e| format!("writing results: {e}"))?;
-    println!("wrote {}", path.display());
+    output::publish_record(&record)?;
 
     if report.degraded() {
         eprintln!(

@@ -12,18 +12,15 @@ use rap_core::Scheme;
 use rap_transpose::TransposeKind;
 
 fn main() {
-    if let Err(err) = run() {
-        eprintln!("table3: {err}");
-        std::process::exit(1);
-    }
+    rap_bench::exit_on_error("table3", run());
 }
 
 fn run() -> Result<(), String> {
     let args = CliArgs::from_env();
     let _failpoints = rap_bench::failpoints_from_env()?;
     let cfg = Table3Config {
-        instances: args.get_u64("instances", 25),
-        seed: args.get_u64("seed", 2014),
+        instances: args.get_u64("instances", 25)?,
+        seed: args.get_u64("seed", 2014)?,
         ..Table3Config::default()
     };
 
@@ -92,8 +89,5 @@ fn run() -> Result<(), String> {
     );
 
     let record = table3::to_record(&cfg, &rows);
-    let path = output::write_record_to(&output::results_dir(), &record)
-        .map_err(|e| format!("writing results: {e}"))?;
-    println!("wrote {}", path.display());
-    Ok(())
+    output::publish_record(&record)
 }

@@ -16,20 +16,17 @@ use rap_bench::{output, CliArgs, ResilienceArgs};
 use rap_core::multidim::Scheme4d;
 
 fn main() {
-    if let Err(err) = run() {
-        eprintln!("table4: {err}");
-        std::process::exit(1);
-    }
+    rap_bench::exit_on_error("table4", run());
 }
 
 fn run() -> Result<(), String> {
     let args = CliArgs::from_env();
     let _failpoints = rap_bench::failpoints_from_env()?;
     let cfg = Table4Config {
-        width: args.get_usize("width", 32),
-        trials: args.get_u64("trials", 300),
+        width: args.get_usize("width", 32)?,
+        trials: args.get_u64("trials", 300)?,
         warps_per_trial: 8,
-        seed: args.get_u64("seed", 2014),
+        seed: args.get_u64("seed", 2014)?,
     };
 
     println!(
@@ -37,7 +34,7 @@ fn run() -> Result<(), String> {
         cfg.width, cfg.trials, cfg.warps_per_trial
     );
 
-    let rargs = ResilienceArgs::from_cli(&args, "t4.ledger");
+    let rargs = ResilienceArgs::from_cli(&args, "t4.ledger")?;
     let ledger = rargs
         .open_ledger(cfg.fingerprint())
         .map_err(|e| format!("opening checkpoint ledger: {e}"))?;
@@ -84,9 +81,7 @@ fn run() -> Result<(), String> {
 
     let mut record = table4::to_record(&cfg, &cells);
     rap_bench::annotate_record(&mut record, &report);
-    let path = output::write_record_to(&output::results_dir(), &record)
-        .map_err(|e| format!("writing results: {e}"))?;
-    println!("wrote {}", path.display());
+    output::publish_record(&record)?;
 
     if report.degraded() {
         eprintln!(

@@ -8,17 +8,14 @@ use rap_bench::table::TextTable;
 use rap_bench::{output, CliArgs};
 
 fn main() {
-    if let Err(err) = run() {
-        eprintln!("umm_contrast: {err}");
-        std::process::exit(1);
-    }
+    rap_bench::exit_on_error("umm_contrast", run());
 }
 
 fn run() -> Result<(), String> {
     let args = CliArgs::from_env();
     let _failpoints = rap_bench::failpoints_from_env()?;
-    let w = args.get_usize("width", 32);
-    let latency = args.get_u64("latency", 8);
+    let w = args.get_usize("width", 32)?;
+    let latency = args.get_u64("latency", 8)?;
 
     println!("A6 — the same RAW kernels on the DMM (shared memory) and the UMM (global memory)");
     println!(
@@ -39,8 +36,5 @@ fn run() -> Result<(), String> {
     );
 
     let record = umm::to_record(w, latency, &rows);
-    let path = output::write_record_to(&output::results_dir(), &record)
-        .map_err(|e| format!("writing results: {e}"))?;
-    println!("wrote {}", path.display());
-    Ok(())
+    output::publish_record(&record)
 }

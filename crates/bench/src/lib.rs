@@ -27,8 +27,8 @@ pub mod soak;
 pub mod table;
 
 /// Parse `--key value` style options from `std::env::args`, with defaults.
-/// Minimal by design — the binaries accept `--trials`, `--seed`,
-/// `--width`, `--instances`.
+/// A `--key` followed by another `--…`, or by nothing, is a boolean flag
+/// (read it with [`CliArgs::flag`]).
 #[derive(Debug, Clone, Default)]
 pub struct CliArgs {
     opts: std::collections::HashMap<String, String>,
@@ -44,12 +44,13 @@ impl CliArgs {
     /// Parse an explicit argument list (for tests).
     pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Self {
         let mut opts = std::collections::HashMap::new();
-        let mut iter = args.into_iter();
+        let mut iter = args.into_iter().peekable();
         while let Some(arg) = iter.next() {
             if let Some(key) = arg.strip_prefix("--") {
-                if let Some(value) = iter.next() {
-                    opts.insert(key.to_string(), value);
-                }
+                let value = iter
+                    .next_if(|v| !v.starts_with("--"))
+                    .unwrap_or_else(|| "true".into());
+                opts.insert(key.to_string(), value);
             }
         }
         Self { opts }
@@ -61,28 +62,38 @@ impl CliArgs {
         self.opts.get(key).map(String::as_str)
     }
 
-    /// Look up a numeric option with a default.
+    /// True when the boolean flag `--key` was given (and not set to
+    /// `false`, `0` or `no`).
     #[must_use]
-    pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.opts
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    pub fn flag(&self, key: &str) -> bool {
+        self.get(key)
+            .is_some_and(|v| v != "false" && v != "0" && v != "no")
     }
 
-    /// Look up a usize option with a default.
-    #[must_use]
-    pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.opts
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// Look up a numeric option with a default; a malformed value is an
+    /// error naming the option.
+    pub fn get_u64(&self, key: &str, default: u64) -> Result<u64, String> {
+        self.number(key, default)
+    }
+
+    /// Look up a usize option with a default, like [`CliArgs::get_u64`].
+    pub fn get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
+        self.number(key, default)
+    }
+
+    fn number<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("--{key}: expected a number, got '{v}'")),
+        }
     }
 }
 
 /// The resilience options shared by the resumable bench binaries
-/// (`table2`, `table4`, `perf_smoke`): where to checkpoint, how long to
-/// run, how hard to retry.
+/// (`table2`, `table4`): where to checkpoint, how long to run, how hard
+/// to retry.
 ///
 /// Flags:
 /// * `--checkpoint <path|off>` — ledger location; `off` disables disk
@@ -104,31 +115,30 @@ pub struct ResilienceArgs {
 impl ResilienceArgs {
     /// Parse from CLI options, defaulting the ledger to
     /// `<results>/checkpoints/<default_ledger_name>`.
-    #[must_use]
-    pub fn from_cli(args: &CliArgs, default_ledger_name: &str) -> Self {
+    pub fn from_cli(args: &CliArgs, default_ledger_name: &str) -> Result<Self, String> {
         let checkpoint = match args.get("checkpoint") {
             Some("off") => None,
             Some(path) => Some(std::path::PathBuf::from(path)),
             None => Some(output::checkpoints_dir().join(default_ledger_name)),
         };
         let mut budget = rap_resilience::RunBudget::unlimited();
-        let ms = args.get_u64("budget-ms", 0);
+        let ms = args.get_u64("budget-ms", 0)?;
         if ms > 0 {
             budget = budget.with_wall_limit(std::time::Duration::from_millis(ms));
         }
-        let cap = args.get_u64("block-cap", 0);
+        let cap = args.get_u64("block-cap", 0)?;
         if cap > 0 {
             budget = budget.with_block_cap(cap);
         }
         let retry = rap_resilience::RetryPolicy {
-            max_retries: u32::try_from(args.get_u64("retries", 2)).unwrap_or(u32::MAX),
+            max_retries: u32::try_from(args.get_u64("retries", 2)?).unwrap_or(u32::MAX),
             ..rap_resilience::RetryPolicy::default()
         };
-        Self {
+        Ok(Self {
             checkpoint,
             budget,
             retry,
-        }
+        })
     }
 
     /// Open the configured ledger for a run with this `fingerprint`
@@ -146,6 +156,15 @@ impl ResilienceArgs {
                 rap_resilience::SyncPolicy::EveryEntry,
             ),
         }
+    }
+}
+
+/// A bin's `main`: on `Err`, print it prefixed with the bin name and
+/// exit 1.
+pub fn exit_on_error(bin: &str, result: Result<(), String>) {
+    if let Err(err) = result {
+        eprintln!("{bin}: {err}");
+        std::process::exit(1);
     }
 }
 
@@ -183,16 +202,36 @@ mod tests {
     #[test]
     fn cli_args_parse_pairs() {
         let a = CliArgs::parse_args(["--trials", "500", "--seed", "9"].map(String::from));
-        assert_eq!(a.get_u64("trials", 1), 500);
-        assert_eq!(a.get_u64("seed", 1), 9);
-        assert_eq!(a.get_u64("missing", 7), 7);
-        assert_eq!(a.get_usize("trials", 1), 500);
+        assert_eq!(a.get_u64("trials", 1), Ok(500));
+        assert_eq!(a.get_u64("seed", 1), Ok(9));
+        assert_eq!(a.get_u64("missing", 7), Ok(7));
+        assert_eq!(a.get_usize("trials", 1), Ok(500));
     }
 
     #[test]
-    fn cli_args_ignore_malformed() {
-        let a = CliArgs::parse_args(["--trials", "abc", "stray"].map(String::from));
-        assert_eq!(a.get_u64("trials", 3), 3);
+    fn cli_args_bare_flags_do_not_swallow_options() {
+        let a = CliArgs::parse_args(["--update", "--budget-ms", "5"].map(String::from));
+        assert!(a.flag("update"));
+        assert_eq!(a.get_u64("budget-ms", 0), Ok(5));
+        assert!(!a.flag("missing"));
+
+        let trailing = CliArgs::parse_args(["--budget-ms", "5", "--update"].map(String::from));
+        assert!(trailing.flag("update"));
+        assert_eq!(trailing.get_u64("budget-ms", 0), Ok(5));
+        assert!(!CliArgs::parse_args(["--update", "no"].map(String::from)).flag("update"));
+    }
+
+    #[test]
+    fn cli_args_reject_malformed_numbers() {
+        let a = CliArgs::parse_args(["--trials", "2k", "stray"].map(String::from));
+        assert_eq!(
+            a.get_u64("trials", 3),
+            Err("--trials: expected a number, got '2k'".to_string())
+        );
+        assert!(a.get_usize("trials", 3).is_err());
+        let bad = CliArgs::parse_args(["--retries", "-1"].map(String::from));
+        let err = ResilienceArgs::from_cli(&bad, "t2.ledger").unwrap_err();
+        assert!(err.contains("--retries"), "{err}");
     }
 
     #[test]
@@ -210,7 +249,7 @@ mod tests {
             ]
             .map(String::from),
         );
-        let r = ResilienceArgs::from_cli(&a, "t2.ledger");
+        let r = ResilienceArgs::from_cli(&a, "t2.ledger").unwrap();
         assert_eq!(
             r.checkpoint.as_deref(),
             Some(std::path::Path::new("/tmp/x.ledger"))
@@ -225,12 +264,13 @@ mod tests {
         let off = ResilienceArgs::from_cli(
             &CliArgs::parse_args(["--checkpoint", "off"].map(String::from)),
             "t2.ledger",
-        );
+        )
+        .unwrap();
         assert_eq!(off.checkpoint, None);
         assert_eq!(off.budget.wall_limit, None);
         assert_eq!(off.budget.block_cap, None);
 
-        let default = ResilienceArgs::from_cli(&CliArgs::default(), "t2.ledger");
+        let default = ResilienceArgs::from_cli(&CliArgs::default(), "t2.ledger").unwrap();
         let path = default.checkpoint.expect("checkpointing on by default");
         assert!(
             path.ends_with("checkpoints/t2.ledger"),

@@ -62,14 +62,24 @@ pub fn write_record_to(dir: &Path, record: &ExperimentRecord) -> std::io::Result
     Ok(path)
 }
 
-/// Atomically serialize `record` to `results/<id>.json` under `root`.
-/// Prefer `write_record_to(&results_dir(), ..)` in binaries — that form
-/// honours `RAP_RESULTS_DIR`.
+/// Atomically write `value` to `<results_dir()>/<file>` and print where
+/// it went — the last step of every bench binary.
 ///
 /// # Errors
-/// Propagates I/O and serialization errors.
-pub fn write_record(root: &Path, record: &ExperimentRecord) -> std::io::Result<PathBuf> {
-    write_record_to(&root.join("results"), record)
+/// The write failed.
+pub fn publish(file: &str, value: &impl serde::Serialize) -> Result<(), String> {
+    let path = results_dir().join(file);
+    rap_resilience::write_json_atomic(&path, value).map_err(|e| format!("writing results: {e}"))?;
+    println!("wrote {}", path.display());
+    Ok(())
+}
+
+/// [`publish`] an experiment record as `<id>.json`.
+///
+/// # Errors
+/// The write failed.
+pub fn publish_record(record: &ExperimentRecord) -> Result<(), String> {
+    publish(&format!("{}.json", record.id.to_lowercase()), record)
 }
 
 /// Read a record back (used by tests and tooling).
@@ -97,7 +107,7 @@ mod tests {
         let mut record = ExperimentRecord::new("TX", "test", "p=1");
         record.push(CellSummary::exact("r", "c", 1.5, Some(1.0)));
         let tmp = std::env::temp_dir().join(format!("rap-bench-test-{}", std::process::id()));
-        let path = write_record(&tmp, &record).unwrap();
+        let path = write_record_to(&tmp.join("results"), &record).unwrap();
         assert!(path.ends_with("results/tx.json"));
         let back = read_record(&path).unwrap();
         assert_eq!(back, record);

@@ -1,6 +1,8 @@
-//! Shared machinery of the performance binaries (`perf_smoke`,
-//! `perf_gate`): hardware-topology detection and the fixed
-//! Table-II-style timing sweep.
+//! The machinery of the `perf_smoke` bin: hardware-topology detection,
+//! the fixed Table-II-style timing sweep, and the throughput gate against
+//! the committed baseline (`results/perf_baseline.json`), which also
+//! fixes the sweep's parameters. `perfbench` reuses the topology
+//! detectors for its host fingerprint.
 //!
 //! Trustworthy scaling numbers need to know the difference between
 //! **logical** CPUs (what `available_parallelism` reports — SMT threads
@@ -15,6 +17,7 @@ use rap_access::montecarlo::matrix_congestion;
 use rap_access::MatrixPattern;
 use rap_core::Scheme;
 use rap_stats::SeedDomain;
+use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -99,16 +102,6 @@ pub struct SweepTiming {
     /// Sum of all cell means — the determinism checksum (bit-identical
     /// across thread counts and runs with the same parameters).
     pub mean_checksum: f64,
-    /// Total Monte-Carlo trials executed.
-    pub total_trials: u64,
-}
-
-impl SweepTiming {
-    /// Trials completed per wall-clock second.
-    #[must_use]
-    pub fn trials_per_second(&self) -> f64 {
-        self.total_trials as f64 / self.wall_seconds
-    }
 }
 
 /// Time the fixed Table-II-style sweep (every Table II pattern × scheme
@@ -129,8 +122,60 @@ pub fn run_sweep(w: usize, trials: u64, seed: u64) -> SweepTiming {
     SweepTiming {
         wall_seconds: start.elapsed().as_secs_f64(),
         mean_checksum: checksum,
-        total_trials: trials * sweep_cells() as u64,
     }
+}
+
+/// The committed reference point of the throughput gate
+/// (`results/perf_baseline.json`): the sweep `perf_smoke` times, and the
+/// single-thread rate its best 1-thread sample is judged against.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct PerfBaseline {
+    /// Matrix width of the sweep.
+    pub w: usize,
+    /// Trials per cell.
+    pub trials_per_cell: u64,
+    /// Root seed.
+    pub seed: u64,
+    /// Single-thread trials/sec the baseline machine sustained.
+    pub trials_per_second: f64,
+    /// Failure threshold: measured/baseline below this ratio fails.
+    pub min_ratio: f64,
+    /// Where the baseline was recorded (human readable).
+    pub recorded_on: String,
+}
+
+/// The throughput gate's verdict.
+#[derive(Debug, Clone, Copy, Serialize)]
+pub struct Gate {
+    /// Best single-thread trials/sec of this run.
+    pub measured: f64,
+    /// The baseline's single-thread trials/sec.
+    pub baseline: f64,
+    /// `measured / baseline`.
+    pub ratio: f64,
+    /// The failure threshold from the baseline file.
+    pub min_ratio: f64,
+    /// True when `ratio >= min_ratio`.
+    pub pass: bool,
+}
+
+/// Judge a measured best single-thread rate against `baseline`.
+///
+/// # Errors
+/// The baseline's `min_ratio` is outside `(0, 1]`.
+pub fn judge(measured: f64, baseline: &PerfBaseline) -> Result<Gate, String> {
+    let min_ratio = baseline.min_ratio;
+    if !(min_ratio > 0.0 && min_ratio <= 1.0) {
+        return Err(format!("baseline min_ratio {min_ratio} must be in (0, 1]"));
+    }
+    let ratio = measured / baseline.trials_per_second;
+    Ok(Gate {
+        measured,
+        baseline: baseline.trials_per_second,
+        ratio,
+        min_ratio,
+        pass: ratio >= min_ratio,
+    })
 }
 
 #[cfg(test)]
@@ -150,6 +195,25 @@ mod tests {
         let a = run_sweep(8, 40, 7);
         let b = run_sweep(8, 40, 7);
         assert_eq!(a.mean_checksum, b.mean_checksum);
-        assert_eq!(a.total_trials, 40 * sweep_cells() as u64);
+    }
+
+    #[test]
+    fn gate_passes_at_the_floor_and_rejects_a_bad_min_ratio() {
+        let baseline = |min_ratio| PerfBaseline {
+            w: 32,
+            trials_per_cell: 2000,
+            seed: 2014,
+            trials_per_second: 312_000.0,
+            min_ratio,
+            recorded_on: String::new(),
+        };
+        let at_floor = judge(156_000.0, &baseline(0.5)).unwrap();
+        assert!(at_floor.pass && at_floor.ratio == 0.5, "{at_floor:?}");
+        assert!(!judge(155_999.0, &baseline(0.5)).unwrap().pass);
+        assert!(judge(312_000.0, &baseline(1.0)).unwrap().pass);
+        for bad in [0.0, -0.5, 1.01, f64::NAN] {
+            let err = judge(1e6, &baseline(bad)).unwrap_err();
+            assert!(err.contains("min_ratio"), "{bad}: {err}");
+        }
     }
 }

@@ -102,9 +102,11 @@ pub trait Report: Serialize {
 
 /// Drive a suite from its bin: run it with the panic hook silenced
 /// (injected panics are expected and caught), print the PASS/FAIL table,
-/// write `results/<file>` atomically, and exit 1 unless every check
-/// passed.
-pub fn drive<R: Report>(bin: &str, file: &str, run: impl FnOnce() -> R) {
+/// and write `results/<file>` atomically.
+///
+/// # Errors
+/// The report cannot be written, or a check failed.
+pub fn drive<R: Report>(file: &str, run: impl FnOnce() -> R) -> Result<(), String> {
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let report = run();
@@ -123,15 +125,11 @@ pub fn drive<R: Report>(bin: &str, file: &str, run: impl FnOnce() -> R) {
         report.summary()
     );
 
-    let path = crate::output::results_dir().join(file);
-    if let Err(e) = rap_resilience::write_json_atomic(&path, &report) {
-        eprintln!("{bin}: writing results: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {}", path.display());
-    if passed != checks.len() {
-        eprintln!("{bin}: {} check(s) FAILED", checks.len() - passed);
-        std::process::exit(1);
+    crate::output::publish(file, &report)?;
+    if passed == checks.len() {
+        Ok(())
+    } else {
+        Err(format!("{} check(s) FAILED", checks.len() - passed))
     }
 }
 

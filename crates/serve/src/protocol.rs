@@ -349,6 +349,17 @@ impl Request {
             timeout_ms,
         })
     }
+
+    /// The `id` of a line that [`Request::parse`] rejected: present when
+    /// the line is a JSON object whose `id` is a non-negative integer, so
+    /// the `bad_request` answer still names the request it refuses.
+    #[must_use]
+    pub(crate) fn rejected_id(line: &str) -> Option<u64> {
+        serde_json::from_str::<Value>(line.trim())
+            .ok()?
+            .get("id")?
+            .as_u64()
+    }
 }
 
 /// Stable error kinds a response can carry.

@@ -400,6 +400,32 @@ mod tests {
     }
 
     #[test]
+    fn rejected_requests_echo_their_id() {
+        let _calm = crate::chaos_lock::handler();
+        let (handle, mut client) = small_server(ServerConfig::default());
+        for (line, id) in [
+            (r#"{"id":7,"cmd":"layout"}"#, Some(7)),
+            (
+                r#"{"id":7,"cmd":"synthesize","workload":"column:0","mode":"bogus"}"#,
+                Some(7),
+            ),
+            (r#"{"id":-7,"cmd":"layout"}"#, None),
+            (r#"{"id":"7","cmd":"layout"}"#, None),
+            ("[7]", None),
+        ] {
+            let resp = client.roundtrip(line).unwrap();
+            assert_eq!(
+                (resp.error_kind(), resp.id),
+                (Some("bad_request"), id),
+                "{line}"
+            );
+        }
+        let report = shutdown(handle);
+        assert_eq!(report.metrics.bad_requests, 5);
+        assert!(report.metrics.conserves_responses());
+    }
+
+    #[test]
     fn health_and_stats_answer_inline() {
         let _calm = crate::chaos_lock::handler();
         let (handle, mut client) = small_server(ServerConfig::default());

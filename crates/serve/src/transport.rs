@@ -110,9 +110,10 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
         match Request::parse(&line) {
             Err(message) => {
                 Metrics::bump(&shared.metrics.bad_requests);
+                let id = Request::rejected_id(&line);
                 shared.write_response(
                     &out,
-                    &Response::error(None, shared.breaker_state(), ErrorKind::BadRequest, message),
+                    &Response::error(id, shared.breaker_state(), ErrorKind::BadRequest, message),
                 );
             }
             Ok(request) => routing::dispatch(shared, request, &out),
